@@ -32,12 +32,6 @@
 //!    n = 5 scope — far past any full sweep at (5!)⁴ ≈ 2·10⁸ combos — as a
 //!    capped single-combo exploration pushed through the tiered visited
 //!    store with a deliberately tiny memory budget.
-//! 6. **E26 (intra-combo parallelism)** — the E23 sweep driven through the
-//!    shared-frontier parallel BFS (`--strategy intra`) with one worker per
-//!    core: per-combo counts must match the serial arena engine exactly
-//!    (the level-commit determinism argument, DESIGN §15), and on a ≥4-core
-//!    box the best-of-N states/s must reach ≥1.5× the E23 serial-per-combo
-//!    rate (on smaller hosts the ratio is recorded but not gated).
 //!
 //! Exits nonzero if any determinism check fails.
 //!
@@ -159,14 +153,12 @@ where
     (steps, per_sec)
 }
 
-/// Which BFS engine a [`sweep`] drives per combo: the flat-arena serial
-/// engine, the pre-arena Arc-based one (the E23 baseline), or the
-/// shared-frontier parallel engine with N workers (the E26 arm).
+/// Which BFS engine a [`sweep`] drives per combo: the flat-arena engine or
+/// the pre-arena Arc-based one (the E23 baseline).
 #[derive(Clone, Copy)]
 enum Engine {
     Arena,
     LegacyArc,
-    Intra(usize),
 }
 
 /// One E18-style sweep: coarse-scan exploration of the first `combos`
@@ -175,7 +167,6 @@ enum Engine {
 fn sweep<V, F>(combos: usize, max_states: usize, engine: Engine, mk: F) -> (Vec<usize>, f64, f64)
 where
     V: fa_core::ViewValue + Eq + std::hash::Hash + std::fmt::Debug + Default,
-    V: Send + Sync,
     F: Fn(u32) -> SnapshotProcess<V>,
 {
     let n = 4usize;
@@ -191,7 +182,6 @@ where
         let report = match engine {
             Engine::Arena => explorer.run(|_| Ok(())),
             Engine::LegacyArc => explorer.run_arc(|_| Ok(())),
-            Engine::Intra(workers) => explorer.run_intra(|_| Ok(()), workers),
         };
         per_combo.push(report.states);
     }
@@ -214,7 +204,6 @@ fn sweep_best_of<V, F>(
 ) -> (Vec<usize>, f64, f64)
 where
     V: fa_core::ViewValue + Eq + std::hash::Hash + std::fmt::Debug + Default,
-    V: Send + Sync,
     F: Fn(u32) -> SnapshotProcess<V>,
 {
     let mut best: Option<(Vec<usize>, f64, f64)> = None;
@@ -324,25 +313,6 @@ fn main() {
         rate_new / rate_arc
     );
 
-    // 6. E26: the same sweep through the shared-frontier parallel BFS, one
-    // intra worker per core. The serial arena rate above (the committed E23
-    // baseline's quantity) is the denominator of the headline speedup.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "[bench_report] E26 intra-combo sweep ({sweep_combos} combos, cap {sweep_cap}, {cores} workers)..."
-    );
-    let (per_combo_intra, elapsed_intra, rate_intra) = sweep_best_of(
-        sweep_reps,
-        sweep_combos,
-        sweep_cap,
-        Engine::Intra(cores),
-        |x| SnapshotProcess::new(x, n),
-    );
-    let intra_speedup = rate_intra / rate_new;
-    eprintln!(
-        "  intra {rate_intra:.0} states/s ({elapsed_intra:.2}s), serial {rate_new:.0} states/s ({intra_speedup:.2}x on {cores} cores)"
-    );
-
     // 5. E24: the symmetry quotient over the E18-class sweep — fully
     // symmetric inputs make the whole wiring group collapse, so the orbit
     // factor here is the headline compression number. Smoke keeps n = 3
@@ -415,15 +385,6 @@ fn main() {
     // Determinism check 3: the arena engine visits exactly the states the
     // legacy Arc engine visits, combo by combo.
     let engine_equivalent = per_combo_new == per_combo_arc;
-    // Determinism check 4: the shared-frontier parallel engine visits
-    // exactly the serial engine's states, combo by combo.
-    let intra_equivalent = per_combo_intra == per_combo_new;
-    // Perf gate: the whole point of the intra engine is scaling, so on a
-    // ≥4-core box require ≥1.5× over the serial-per-combo rate. On smaller
-    // hosts the parallel engine cannot beat serial (there is nothing to
-    // fan out over), so the ratio is recorded but not gated.
-    let intra_gate_active = cores >= 4;
-    let intra_gate_ok = !intra_gate_active || intra_speedup >= 1.5;
     if !repr_equivalent {
         eprintln!("[bench_report] FAIL: representations explored different state spaces");
     }
@@ -436,21 +397,9 @@ fn main() {
     if !quotient_rerun_identical {
         eprintln!("[bench_report] FAIL: quotiented sweep re-run is not byte-identical");
     }
-    if !intra_equivalent {
-        eprintln!("[bench_report] FAIL: intra and serial engines explored different state spaces");
-    }
-    if !intra_gate_ok {
-        eprintln!(
-            "[bench_report] FAIL: intra sweep reached only {intra_speedup:.2}x the serial rate on {cores} cores (gate: 1.5x)"
-        );
-    }
 
-    let determinism_ok = repr_equivalent
-        && rerun_identical
-        && engine_equivalent
-        && quotient_rerun_identical
-        && intra_equivalent
-        && intra_gate_ok;
+    let determinism_ok =
+        repr_equivalent && rerun_identical && engine_equivalent && quotient_rerun_identical;
     let total_states: usize = per_combo_new.iter().sum();
     let sweep_doc = json!({
         "n": n,
@@ -463,10 +412,6 @@ fn main() {
         "arena_states_per_sec": rate_new,
         "arc_states_per_sec": rate_arc,
         "arena_speedup": rate_new / rate_arc,
-        "intra_states_per_sec": rate_intra,
-        "intra_workers": cores,
-        "intra_speedup": intra_speedup,
-        "intra_gate_active": intra_gate_active,
         "per_combo_states_fingerprint": short_hash(&ser_a),
     });
     let determinism_doc = json!({
@@ -474,8 +419,6 @@ fn main() {
         "rerun_byte_identical": rerun_identical,
         "arena_matches_arc_engine": engine_equivalent,
         "quotient_rerun_byte_identical": quotient_rerun_identical,
-        "intra_matches_serial_engine": intra_equivalent,
-        "intra_speedup_gate_ok": intra_gate_ok,
     });
     let quotient_doc = json!({
         "n": quot_n,
@@ -500,7 +443,7 @@ fn main() {
         }),
     });
     let doc = json!({
-        "experiment": "E21+E23+E24+E26",
+        "experiment": "E21+E23+E24",
         "smoke": smoke,
         "micro": micros.iter().map(Micro::to_json).collect::<Vec<_>>(),
         "scan": scans,
@@ -525,7 +468,7 @@ fn main() {
         })
         .unwrap_or_default();
     let prefix = if smoke { "smoke_" } else { "" };
-    root.insert("experiment".into(), json!("E21+E23+E24+E26"));
+    root.insert("experiment".into(), json!("E21+E23+E24"));
     for (key, value) in [
         (
             "min_micro_speedup",
@@ -541,10 +484,6 @@ fn main() {
         ("sweep_states_per_sec_arena", json!(rate_new)),
         ("sweep_states_per_sec_arc", json!(rate_arc)),
         ("arena_sweep_speedup", json!(rate_new / rate_arc)),
-        ("sweep_states_per_sec_intra", json!(rate_intra)),
-        ("intra_workers", json!(cores)),
-        ("intra_sweep_speedup", json!(intra_speedup)),
-        ("intra_gate_active", json!(intra_gate_active)),
         ("quotient_orbit_factor", json!(orbit_factor)),
         (
             "quotient_canonical_states",

@@ -84,11 +84,10 @@ pub fn cli_jobs() -> Option<usize> {
     })
 }
 
-/// The sweep executor requested via `--strategy auto|serial|pool|intra[:N]`
-/// (`None` when absent: [`fa_modelcheck::StrategyKind::Auto`]). `intra`
-/// parallelizes *within* each combo's BFS with N shared-frontier workers
-/// (N omitted or 0: the detected core count), splitting the `--jobs`
-/// budget between combo-level and intra-combo threads.
+/// The sweep executor requested via `--strategy auto|serial|pool`
+/// (`None` when absent: [`fa_modelcheck::StrategyKind::Auto`]). Every
+/// strategy runs each combo's BFS on one thread; `--jobs` sets how many
+/// combos run at once.
 ///
 /// # Panics
 ///

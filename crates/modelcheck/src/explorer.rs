@@ -13,19 +13,15 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 
-use crate::arena::{
-    step_block_row_in, step_row_in, ArenaTables, OverlayLog, OverlayTables, SlotInterner,
-    StateView, HALTED,
-};
+use crate::arena::{ArenaTables, SlotInterner, StateView, HALTED};
 use crate::canon::{compose, invert, Canonicalizer};
 use crate::checkpoint::{crash_point, ProgressHook};
-use crate::store::{hash_row, InMemoryVisited, ShardedVisited, TieredVisited, VisitedStore};
+use crate::store::{InMemoryVisited, TieredVisited, VisitedStore};
 use crate::telemetry::ExplorerTelemetry;
 
 /// A process's poised-action slot: `None` once the process has halted.
@@ -313,65 +309,6 @@ where
     pub spilled_shards: usize,
 }
 
-/// One speculative expansion produced by an intra-combo worker during the
-/// parallel expand phase: the successor row in the worker's *provisional*
-/// id space, plus enough provenance to commit it in exact serial order.
-struct ExpRecord {
-    /// Position of the parent within the current frontier.
-    parent_pos: u32,
-    /// Process stepped to produce this successor.
-    proc: u16,
-    /// Worker whose overlay log (and provisional id space) the row uses.
-    worker: u16,
-    /// Range of that worker's overlay intern log this step appended.
-    log_start: u32,
-    /// Exclusive end of the log range.
-    log_end: u32,
-    /// The successor row; fresh slots carry provisional ids until patched.
-    row: Box<[u32]>,
-}
-
-/// Per-record results of the parallel derive phase: the committed-id,
-/// canonicalized successor row and everything speculated from it against
-/// the level-frozen tables and store.
-struct Derived {
-    /// The patched, canonical row — byte-identical to what the serial BFS
-    /// would have produced for this expansion.
-    row: Box<[u32]>,
-    /// `hash_row` of the canonical row, precomputed for the store.
-    hash: u64,
-    /// Canonicalizing group element (0 without quotienting).
-    gidx: u32,
-    /// Orbit size of the canonical state (1 without quotienting).
-    orbit: u64,
-    /// Row was already present in the pre-level (frozen) store — the
-    /// serial lookup could only agree, so the commit skips it outright.
-    spec_dup: bool,
-    /// Invariant verdict, pre-checked speculatively for rows that may be
-    /// inserted; only applied if the commit actually inserts the row.
-    inv_err: Option<String>,
-}
-
-/// Phase outputs of one intra-combo worker for one BFS level.
-struct WorkerOut<P: Process>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    /// Claimed frontier chunks (by start position) and their records.
-    chunks: Vec<(usize, Vec<ExpRecord>)>,
-    /// The worker's overlay intern log for the level.
-    log: Option<OverlayLog<P>>,
-    /// `(parent_pos, proc)` of a step that overran the hard id bound; the
-    /// worker stopped claiming there.
-    err_at: Option<(u32, u16)>,
-    /// Chunks claimed beyond the worker's first this level.
-    steals: u64,
-    /// Derive-phase output: `(record index, derived data)`.
-    derived: Vec<(usize, Derived)>,
-}
-
 /// Breadth-first explorer of one system (fixed processes, wirings, initial
 /// register value).
 #[derive(Debug)]
@@ -407,16 +344,6 @@ const STOP_POLL_INTERVAL: usize = 1024;
 /// `Instant::now()` calls off the per-expansion hot path — the <5% probe
 /// overhead budget of EXPERIMENTS E22.
 const DEDUP_SAMPLE_INTERVAL: usize = 64;
-
-/// Frontier positions handed out per work-stealing claim in the intra-combo
-/// expand phase: big enough to amortize the claim `fetch_add`, small enough
-/// to balance the skewed out-degrees of real frontiers.
-const EXPAND_CHUNK: usize = 32;
-
-/// Record indices handed out per claim in the intra-combo derive phase
-/// (patch + canonicalize + hash + probe): cheaper per item than expansion,
-/// so chunks are larger.
-const DERIVE_CHUNK: usize = 128;
 
 impl<P> Explorer<P>
 where
@@ -1015,8 +942,6 @@ where
     /// the parent-edge arrays: walks the edges back to the root, and — when
     /// `canon` carries a nontrivial quotient group — untranslates the
     /// canonical run into a concrete schedule and state of the real system.
-    /// Shared by the serial and intra-combo BFS paths, so both report the
-    /// same violation for the same state id.
     #[allow(clippy::too_many_arguments)]
     fn assemble_violation<F>(
         &self,
@@ -1091,621 +1016,16 @@ where
         }
     }
 
-    /// [`Explorer::run_until_intra`] without an external stop signal.
-    pub fn run_intra<F>(&self, invariant: F, workers: usize) -> ExploreReport<P>
+    /// Former entry point of the removed intra-combo parallel engine: runs
+    /// [`Explorer::run`] and ignores `workers`. Kept only because the
+    /// benchmark harness (`perfbench`) still calls it; it goes with the
+    /// next change to the benchmark, which drops that call.
+    #[doc(hidden)]
+    pub fn run_intra<F>(&self, invariant: F, _workers: usize) -> ExploreReport<P>
     where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
+        F: Fn(&StateView<'_, P>) -> Result<(), String>,
     {
-        self.run_until_intra(invariant, || false, workers)
-    }
-
-    /// Like [`Explorer::run_until`], but explores each BFS level with
-    /// `workers` threads sharing one frontier (`--strategy intra`).
-    ///
-    /// The level-synchronized protocol (DESIGN §15) makes worker scheduling
-    /// unobservable: workers *speculatively* expand work-stolen frontier
-    /// chunks against per-worker overlay tables, then a serial commit
-    /// replays every overlay intern log in the exact order the serial BFS
-    /// would have performed the expansions — so slot-id assignment, dedup
-    /// decisions, state numbering, and therefore the entire
-    /// [`ExploreReport`] (including which violation is found and its
-    /// schedule) are byte-identical to [`Explorer::run_until`]'s for any
-    /// worker count. The external `stop` signal is honored on level
-    /// boundaries; aborted reports are discarded by the strategy prefix
-    /// contract and need no parity.
-    pub fn run_until_intra<F, S>(&self, invariant: F, stop: S, workers: usize) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        S: Fn() -> bool,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        let w = self.initial.memory.len() + 3 * self.initial.procs.len();
-        let mut store = ShardedVisited::new(w, self.visited_budget);
-        if let Some(dir) = &self.spill_dir {
-            store = store.with_spill_dir(dir.clone());
-        }
-        if let Some(flag) = &self.pressure {
-            store.set_pressure(Arc::clone(flag));
-        }
-        if self.corrupt_spill {
-            store.corrupt_next_spill_for_tests();
-        }
-        self.bfs_intra(&invariant, &stop, store, workers.max(1))
-    }
-
-    /// The level-synchronized parallel BFS behind
-    /// [`Explorer::run_until_intra`]. Each level runs four phases:
-    ///
-    /// 1. **Expand** (parallel): workers claim frontier chunks off an
-    ///    atomic cursor and step every live process of every parent through
-    ///    per-worker [`OverlayTables`], recording provisional-id rows and
-    ///    intern-log ranges.
-    /// 2. **Table commit** (serial): the per-worker chunks are merged back
-    ///    into serial `(parent, process)` order and their overlay logs
-    ///    replayed into the shared tables — which reproduces the serial id
-    ///    assignment bit-for-bit and surfaces id-space exhaustion at the
-    ///    exact step the serial BFS would abort on.
-    /// 3. **Derive** (parallel): provisional ids are patched to committed
-    ///    ones, rows canonicalized and hashed, the level-frozen store
-    ///    probed, and the invariant pre-checked.
-    /// 4. **Store commit** (serial): parent-pop accounting interleaves with
-    ///    insertions in serial order, so duplicates, the state cap, the
-    ///    reported counts, and the first violation all match the serial BFS
-    ///    exactly.
-    #[allow(clippy::too_many_lines)]
-    fn bfs_intra<F, S>(
-        &self,
-        invariant: &F,
-        stop: &S,
-        mut store: ShardedVisited,
-        workers: usize,
-    ) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        S: Fn() -> bool,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        let m = self.initial.memory.len();
-        let n = self.initial.procs.len();
-        let w = m + 3 * n;
-        let coarse = self.coarse_scans;
-        let wirings: &[Arc<Wiring>] = &self.wirings;
-        let mut tables = ArenaTables::<P>::new(m, n, self.id_cap);
-        let canon = self
-            .quotient
-            .then(|| Canonicalizer::for_system(&self.initial_symmetry_classes(), &self.wirings));
-        let canon_ref = canon.as_ref().filter(|c| !c.is_trivial());
-        let mut parents: Vec<Option<(usize, ProcId)>> = Vec::new();
-        let mut depths: Vec<u32> = Vec::new();
-        let mut gelems: Vec<u32> = Vec::new();
-        let mut terminal = 0usize;
-        let mut complete = true;
-        let mut estimate = 0u64;
-        let mut flushed_states = 0usize;
-        let flush_telemetry = |flushed: &mut usize,
-                               visited: usize,
-                               depth: usize,
-                               interner_entries: usize,
-                               store_bytes: usize,
-                               spilled: usize| {
-            if let Some(tel) = &self.telemetry {
-                tel.states.add((visited - *flushed) as u64);
-                *flushed = visited;
-                tel.frontier_depth.set(depth as u64);
-                tel.visited_entries.set(visited as u64);
-                tel.visited_bytes.set(store_bytes as u64);
-                tel.visited_spilled.set(spilled as u64);
-                tel.interner_entries.set(interner_entries as u64);
-            }
-        };
-
-        let Ok(k0) = tables.encode(&self.initial) else {
-            return ExploreReport {
-                states: 0,
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(0),
-                spilled_shards: 0,
-            };
-        };
-        let (root_row, root_orbit) = if let Some(c) = canon_ref {
-            let mut out = vec![0u32; w];
-            let (_, orbit) = c.canonicalize(&k0, &mut out);
-            (out, orbit)
-        } else {
-            (k0.into_vec(), 1)
-        };
-        estimate += root_orbit;
-        if store.insert(&root_row).is_err() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-        parents.push(None);
-        depths.push(0);
-        gelems.push(0);
-        if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
-            flush_telemetry(
-                &mut flushed_states,
-                1,
-                0,
-                tables.len_total(),
-                store.approx_bytes(),
-                store.spilled_shards(),
-            );
-            return ExploreReport {
-                states: 1,
-                terminal_states: usize::from(self.initial.all_halted()),
-                complete: true,
-                violation: Some(self.assemble_violation(
-                    &tables, canon_ref, invariant, &parents, &gelems, 0, &root_row, message,
-                )),
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-        if stop() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: terminal,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-
-        // Shared plumbing for the worker crew. The locks are coarse — one
-        // acquisition per worker per phase, never on the per-state path —
-        // and never contended across phases by construction of the barrier
-        // protocol.
-        let tables_lk = RwLock::new(tables);
-        let store_lk = RwLock::new(store);
-        let frontier_lk: RwLock<(Vec<usize>, Vec<u32>)> = RwLock::new((vec![0], root_row));
-        #[allow(clippy::type_complexity)]
-        let level_lk: RwLock<(Vec<ExpRecord>, Vec<OverlayLog<P>>, Vec<[Vec<u32>; 4]>)> =
-            RwLock::new((Vec::new(), Vec::new(), Vec::new()));
-        let cursor_a = AtomicUsize::new(0);
-        let cursor_c = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let barrier = Barrier::new(workers);
-        let outs: Vec<Mutex<WorkerOut<P>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(WorkerOut {
-                    chunks: Vec::new(),
-                    log: None,
-                    err_at: None,
-                    steals: 0,
-                    derived: Vec::new(),
-                })
-            })
-            .collect();
-
-        let phase_a = |idx: usize| {
-            let tables = tables_lk.read().expect("tables lock");
-            let frontier = frontier_lk.read().expect("frontier lock");
-            let (_, rows) = &*frontier;
-            let frontier_len = rows.len() / w;
-            let mut overlay = OverlayTables::new(&tables);
-            let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-            let mut err_at: Option<(u32, u16)> = None;
-            let mut steals = 0u64;
-            let mut first = true;
-            let mut scratch = vec![0u32; w];
-            'claim: loop {
-                let start = cursor_a.fetch_add(EXPAND_CHUNK, Ordering::Relaxed);
-                if start >= frontier_len {
-                    break;
-                }
-                if first {
-                    first = false;
-                } else {
-                    steals += 1;
-                }
-                let end = (start + EXPAND_CHUNK).min(frontier_len);
-                let mut recs: Vec<ExpRecord> = Vec::new();
-                for pos in start..end {
-                    let row = &rows[pos * w..(pos + 1) * w];
-                    if row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                        continue;
-                    }
-                    for pi in 0..n {
-                        if row[m + n + pi] == HALTED {
-                            continue;
-                        }
-                        scratch.copy_from_slice(row);
-                        let log_start = overlay.log_len() as u32;
-                        let stepped = if coarse {
-                            step_block_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                        } else {
-                            step_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                        };
-                        if stepped.is_err() {
-                            // Provisional id overran the hard bound: the
-                            // serial BFS aborts at or before this very
-                            // step. Stop claiming; the table commit
-                            // truncates to the serial abort point.
-                            err_at = Some((pos as u32, pi as u16));
-                            chunks.push((start, recs));
-                            break 'claim;
-                        }
-                        recs.push(ExpRecord {
-                            parent_pos: pos as u32,
-                            proc: pi as u16,
-                            worker: idx as u16,
-                            log_start,
-                            log_end: overlay.log_len() as u32,
-                            row: scratch.clone().into_boxed_slice(),
-                        });
-                    }
-                }
-                chunks.push((start, recs));
-            }
-            let log = overlay.into_log();
-            let mut out = outs[idx].lock().expect("worker slot");
-            out.chunks = chunks;
-            out.log = Some(log);
-            out.err_at = err_at;
-            out.steals = steals;
-        };
-
-        let phase_c = |idx: usize| {
-            let tables = tables_lk.read().expect("tables lock");
-            let store = store_lk.read().expect("store lock");
-            let data = level_lk.read().expect("level lock");
-            let (records, logs, maps) = &*data;
-            let mut derived: Vec<(usize, Derived)> = Vec::new();
-            let mut buf = vec![0u32; w];
-            loop {
-                let start = cursor_c.fetch_add(DERIVE_CHUNK, Ordering::Relaxed);
-                if start >= records.len() {
-                    break;
-                }
-                let end = (start + DERIVE_CHUNK).min(records.len());
-                for (i, r) in records.iter().enumerate().take(end).skip(start) {
-                    let wk = r.worker as usize;
-                    let mut row = r.row.to_vec();
-                    logs[wk].patch_row(m, n, &maps[wk], &mut row);
-                    let (gidx, orbit) = if let Some(c) = canon_ref {
-                        let (g, orb) = c.canonicalize(&row, &mut buf);
-                        std::mem::swap(&mut row, &mut buf);
-                        (g, orb)
-                    } else {
-                        (0u32, 1u64)
-                    };
-                    let hash = hash_row(&row);
-                    // A store error here is *not* authoritative — the
-                    // serial commit re-probes and aborts at the exact
-                    // serial point if the tier really is broken.
-                    let spec_dup = matches!(store.lookup_shared(&row, hash), Ok(Some(_)));
-                    let inv_err = if spec_dup {
-                        None
-                    } else {
-                        invariant(&StateView::new(&tables, &row)).err()
-                    };
-                    derived.push((
-                        i,
-                        Derived {
-                            row: row.into_boxed_slice(),
-                            hash,
-                            gidx,
-                            orbit,
-                            spec_dup,
-                            inv_err,
-                        },
-                    ));
-                }
-            }
-            outs[idx].lock().expect("worker slot").derived = derived;
-        };
-
-        std::thread::scope(|s| {
-            for idx in 1..workers {
-                let phase_a = &phase_a;
-                let phase_c = &phase_c;
-                let barrier = &barrier;
-                let done = &done;
-                s.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    phase_a(idx);
-                    barrier.wait();
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    phase_c(idx);
-                    barrier.wait();
-                });
-            }
-
-            // Exits happen only on level boundaries, where every worker is
-            // parked at the phase-A barrier: release them into the `done`
-            // check and hand the report out.
-            let finish = |report: ExploreReport<P>| {
-                done.store(true, Ordering::Release);
-                barrier.wait();
-                report
-            };
-
-            let mut level_depth = 0usize;
-            loop {
-                // Level boundary: the serial path fires its telemetry /
-                // checkpoint-progress / crash / stop probes every
-                // STOP_POLL_INTERVAL expansions; here the level commit is
-                // the natural — and deterministic — boundary.
-                {
-                    let store = store_lk.read().expect("store lock");
-                    let tables = tables_lk.read().expect("tables lock");
-                    flush_telemetry(
-                        &mut flushed_states,
-                        store.len(),
-                        level_depth,
-                        tables.len_total(),
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    if let Some(hook) = &self.progress {
-                        hook.fire(store.len() as u64, level_depth as u64);
-                    }
-                }
-                crash_point("explorer.poll");
-                if stop() {
-                    let report = {
-                        let store = store_lk.read().expect("store lock");
-                        ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        }
-                    };
-                    return finish(report);
-                }
-
-                let frontier_len = frontier_lk.read().expect("frontier lock").0.len();
-                if frontier_len == 0 {
-                    break;
-                }
-                let capped = self.max_depth.is_some_and(|maxd| level_depth >= maxd);
-                // A depth-capped level expands nothing: parking the claim
-                // cursor past the frontier makes phase A a no-op while the
-                // commit still does the per-parent accounting.
-                cursor_a.store(if capped { frontier_len } else { 0 }, Ordering::Relaxed);
-                barrier.wait(); // phase A starts
-                let expand_started = Instant::now();
-                phase_a(0);
-                barrier.wait(); // phase A ends
-                if let Some(tel) = &self.telemetry {
-                    let ns = u64::try_from(expand_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    tel.expand_parallel.record_ns(ns);
-                }
-
-                // Phase 2 — serial table commit: merge the chunks back into
-                // serial (parent, process) order, replay the intern logs.
-                let mut logs: Vec<OverlayLog<P>> = Vec::with_capacity(workers);
-                let mut all_chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-                let mut err_pos: Option<(u32, u16)> = None;
-                for out in &outs {
-                    let mut o = out.lock().expect("worker slot");
-                    all_chunks.append(&mut o.chunks);
-                    logs.push(o.log.take().expect("phase A left a log"));
-                    if let Some(e) = o.err_at.take() {
-                        err_pos = Some(err_pos.map_or(e, |cur| cur.min(e)));
-                    }
-                    if let Some(tel) = &self.telemetry {
-                        tel.steals.add(o.steals);
-                    }
-                    o.steals = 0;
-                }
-                all_chunks.sort_unstable_by_key(|&(start, _)| start);
-                let mut records: Vec<ExpRecord> =
-                    all_chunks.into_iter().flat_map(|(_, recs)| recs).collect();
-                // A worker that hit the hard id bound stopped claiming, but
-                // chunks are handed out in increasing order, so every
-                // expansion serially before the failed step is present —
-                // and the serial BFS would have aborted at or before that
-                // step. Drop everything at or after it.
-                let mut abort_parent: Option<u32> = None;
-                if let Some(e) = err_pos {
-                    records.truncate(records.partition_point(|r| (r.parent_pos, r.proc) < e));
-                    abort_parent = Some(e.0);
-                }
-                let mut maps: Vec<[Vec<u32>; 4]> = (0..workers)
-                    .map(|_| std::array::from_fn(|_| Vec::new()))
-                    .collect();
-                let mut cursors: Vec<[usize; 4]> = vec![[0; 4]; workers];
-                {
-                    let mut tables = tables_lk.write().expect("tables lock");
-                    let mut failed = None;
-                    for (i, r) in records.iter().enumerate() {
-                        let wk = r.worker as usize;
-                        let range = r.log_start as usize..r.log_end as usize;
-                        if tables
-                            .replay_slice(&logs[wk], range, &mut cursors[wk], &mut maps[wk])
-                            .is_err()
-                        {
-                            // The replay interns exactly the values the
-                            // serial BFS would intern, in the same order:
-                            // this is the serial abort step.
-                            failed = Some(i);
-                            break;
-                        }
-                    }
-                    if let Some(k) = failed {
-                        abort_parent = Some(records[k].parent_pos);
-                        records.truncate(k);
-                    }
-                }
-
-                // Phase 3 — parallel derive over the committed prefix.
-                cursor_c.store(0, Ordering::Relaxed);
-                {
-                    let mut data = level_lk.write().expect("level lock");
-                    *data = (records, logs, maps);
-                }
-                barrier.wait(); // phase C starts
-                phase_c(0);
-                barrier.wait(); // phase C ends
-
-                // Phase 4 — serial store commit in exact serial pop order:
-                // each parent's accounting (terminal / depth cap) happens
-                // before its successors, so mid-level aborts report the
-                // same counts the serial BFS would.
-                let data = level_lk.read().expect("level lock");
-                let (records, _, _) = &*data;
-                let mut derived: Vec<Option<Derived>> = records.iter().map(|_| None).collect();
-                for out in &outs {
-                    for (i, d) in out.lock().expect("worker slot").derived.drain(..) {
-                        derived[i] = Some(d);
-                    }
-                }
-                let mut store = store_lk.write().expect("store lock");
-                let tables = tables_lk.read().expect("tables lock");
-                let frontier = frontier_lk.read().expect("frontier lock");
-                let (frontier_ids, frontier_rows) = &*frontier;
-                let parent_limit = abort_parent.map_or(frontier_ids.len(), |q| q as usize + 1);
-                let mut next_ids: Vec<usize> = Vec::new();
-                let mut next_rows: Vec<u32> = Vec::new();
-                let mut rec_i = 0usize;
-                let mut abort: Option<ExploreReport<P>> = None;
-                let incomplete_report =
-                    |store: &ShardedVisited, terminal: usize, estimate: u64| ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
-                'commit: for pos in 0..parent_limit {
-                    let prow = &frontier_rows[pos * w..(pos + 1) * w];
-                    if prow[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                        terminal += 1;
-                        continue;
-                    }
-                    if capped {
-                        complete = false;
-                        continue;
-                    }
-                    while rec_i < records.len() && records[rec_i].parent_pos as usize == pos {
-                        let r = &records[rec_i];
-                        let d = derived[rec_i].take().expect("phase C derived every record");
-                        rec_i += 1;
-                        if d.spec_dup {
-                            // Present in the frozen store before this level
-                            // began — the serial lookup could only agree.
-                            continue;
-                        }
-                        let seen = match store.lookup_shared(&d.row, d.hash) {
-                            Ok(seen) => seen,
-                            Err(_) => {
-                                abort = Some(incomplete_report(&store, terminal, estimate));
-                                break 'commit;
-                            }
-                        };
-                        if seen.is_some() {
-                            continue;
-                        }
-                        if store.len() >= self.max_states {
-                            complete = false;
-                            continue;
-                        }
-                        let Ok(id) = store.insert_hashed(&d.row, d.hash) else {
-                            abort = Some(incomplete_report(&store, terminal, estimate));
-                            break 'commit;
-                        };
-                        estimate += d.orbit;
-                        parents.push(Some((frontier_ids[pos], ProcId(r.proc as usize))));
-                        depths.push(level_depth as u32 + 1);
-                        gelems.push(d.gidx);
-                        if let Some(message) = d.inv_err {
-                            let violation = self.assemble_violation(
-                                &tables, canon_ref, invariant, &parents, &gelems, id, &d.row,
-                                message,
-                            );
-                            abort = Some(ExploreReport {
-                                states: store.len(),
-                                terminal_states: terminal,
-                                complete: false,
-                                violation: Some(violation),
-                                full_states_estimate: self.quotient.then_some(estimate),
-                                spilled_shards: store.spilled_shards(),
-                            });
-                            break 'commit;
-                        }
-                        next_ids.push(id);
-                        next_rows.extend_from_slice(&d.row);
-                    }
-                }
-                if abort.is_none() && abort_parent.is_some() {
-                    // Id-space exhaustion: the same graceful abort as the
-                    // serial path, after committing the serial prefix.
-                    abort = Some(incomplete_report(&store, terminal, estimate));
-                }
-                if let Some(report) = abort {
-                    flush_telemetry(
-                        &mut flushed_states,
-                        store.len(),
-                        level_depth,
-                        tables.len_total(),
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    drop(frontier);
-                    drop(tables);
-                    drop(store);
-                    drop(data);
-                    return finish(report);
-                }
-                drop(frontier);
-                drop(tables);
-                drop(store);
-                drop(data);
-                *frontier_lk.write().expect("frontier lock") = (next_ids, next_rows);
-                level_depth += 1;
-            }
-
-            // Frontier drained: the reachable space is explored.
-            let report = {
-                let store = store_lk.read().expect("store lock");
-                let tables = tables_lk.read().expect("tables lock");
-                flush_telemetry(
-                    &mut flushed_states,
-                    store.len(),
-                    0,
-                    tables.len_total(),
-                    store.approx_bytes(),
-                    store.spilled_shards(),
-                );
-                ExploreReport {
-                    states: store.len(),
-                    terminal_states: terminal,
-                    complete,
-                    violation: None,
-                    full_states_estimate: self.quotient.then_some(estimate),
-                    spilled_shards: store.spilled_shards(),
-                }
-            };
-            finish(report)
-        })
+        self.run(invariant)
     }
 
     /// The pre-arena BFS over `Arc`-shared [`McState`]s, kept verbatim as
@@ -2346,169 +1666,6 @@ mod tests {
         assert_eq!(va.state, vb.state);
         assert_eq!(va.schedule, vb.schedule);
         assert_eq!(va.message, vb.message);
-    }
-
-    #[test]
-    fn intra_reports_match_serial_for_every_worker_count() {
-        use fa_core::SnapshotProcess;
-        let mk = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
-            )
-        };
-        let serial = mk().run(|_| Ok(()));
-        assert!(serial.complete);
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(|_| Ok(()), workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-
-        // Violating invariant: same state, same schedule, same message —
-        // the serial pop order decides which violation is "first".
-        let violating = |s: &StateView<'_, SnapshotProcess<u8>>| {
-            if s.first_outputs().iter().any(Option::is_some) {
-                Err("a snapshot was output".to_string())
-            } else {
-                Ok(())
-            }
-        };
-        let serial = mk().run(violating);
-        assert!(serial.violation.is_some());
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(violating, workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn intra_composes_with_quotient_and_visited_budget() {
-        use fa_core::SnapshotProcess;
-        let mk = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(1, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::identity(2)],
-            )
-            .with_quotient()
-            .with_visited_budget(64)
-        };
-        let serial = mk().run(|_| Ok(()));
-        assert!(serial.complete);
-        assert!(serial.spilled_shards > 0, "budget of 64B must spill");
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(|_| Ok(()), workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-
-        // Quotiented violation: the untranslation walk must emit the same
-        // concrete schedule and real state regardless of worker count.
-        let violating = |s: &StateView<'_, SnapshotProcess<u8>>| {
-            if s.first_outputs().iter().any(Option::is_some) {
-                Err("a snapshot was output".to_string())
-            } else {
-                Ok(())
-            }
-        };
-        let serial = mk().run(violating);
-        assert!(serial.violation.is_some());
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(violating, workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn intra_matches_serial_on_caps_and_exhaustion() {
-        use fa_core::SnapshotProcess;
-        let base = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
-            )
-        };
-        // Hard id-space exhaustion: the commit replay must abort at the
-        // exact serial step, so states/terminals agree byte-for-byte.
-        for cap in [1, 2, 4, 8] {
-            let serial = base().with_id_cap(cap).run(|_| Ok(()));
-            assert!(!serial.complete);
-            for workers in [1, 3] {
-                let intra = base().with_id_cap(cap).run_intra(|_| Ok(()), workers);
-                assert_eq!(
-                    format!("{serial:?}"),
-                    format!("{intra:?}"),
-                    "cap = {cap}, workers = {workers}"
-                );
-            }
-        }
-        // State cap and depth cap.
-        let serial = base().with_max_states(7).run(|_| Ok(()));
-        let intra = base().with_max_states(7).run_intra(|_| Ok(()), 4);
-        assert_eq!(format!("{serial:?}"), format!("{intra:?}"));
-        let serial = base().with_max_depth(2).run(|_| Ok(()));
-        let intra = base().with_max_depth(2).run_intra(|_| Ok(()), 4);
-        assert_eq!(format!("{serial:?}"), format!("{intra:?}"));
-        // An external stop on entry aborts without touching the workers.
-        let stopped = base().run_until_intra(|_| Ok(()), || true, 4);
-        assert!(!stopped.complete);
-        assert!(stopped.violation.is_none());
-    }
-
-    #[test]
-    fn intra_telemetry_is_exact_and_never_changes_the_report() {
-        use fa_core::SnapshotProcess;
-        use fa_obs::MetricRegistry;
-
-        let mk = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
-            )
-        };
-        let plain = mk().run_intra(|_| Ok(()), 4);
-
-        let registry = MetricRegistry::new();
-        let tel = ExplorerTelemetry::from_registry(&registry);
-        let probed = mk().with_telemetry(tel.clone()).run_intra(|_| Ok(()), 4);
-
-        assert_eq!(format!("{plain:?}"), format!("{probed:?}"));
-        assert_eq!(tel.states.get(), plain.states as u64);
-        assert_eq!(tel.visited_entries.get(), plain.states as u64);
-        assert!(tel.visited_bytes.get() > 0);
-        assert!(tel.interner_entries.get() > 0);
-        // The expand span records once per committed BFS level.
-        assert!(registry.span("mc.expand_parallel").calls() > 0);
     }
 
     #[test]

@@ -70,6 +70,6 @@ pub use checkpoint::{
 };
 pub use checks::{CheckConfig, CheckOutcome, QuotientStats, TaskCheckReport};
 pub use explorer::{step_block, ExploreReport, Explorer, McState, Violation};
-pub use store::{InMemoryVisited, ShardedVisited, StoreError, TieredVisited, VisitedStore};
+pub use store::{InMemoryVisited, StoreError, TieredVisited, VisitedStore};
 pub use strategy::{ComboOutcome, ExploreStrategy, StrategyKind};
 pub use telemetry::{ExplorerTelemetry, SweepTelemetry};

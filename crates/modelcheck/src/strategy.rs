@@ -140,49 +140,17 @@ pub enum StrategyKind {
     /// Always [`WorkerPool`] (with however many jobs are configured, even
     /// one).
     WorkerPool,
-    /// Intra-combo parallelism: each combo's BFS runs level-synchronized on
-    /// `workers` threads (`0` = auto-detect the core count), nested inside a
-    /// combo-level [`WorkerPool`] that shares the same core budget — with
-    /// `--jobs J` and `W` intra workers, `max(1, J / W)` combos run
-    /// concurrently.
-    IntraCombo {
-        /// Threads per combo exploration (`0` = `available_parallelism`).
-        workers: usize,
-    },
 }
 
 impl StrategyKind {
     /// Builds the selected strategy for a sweep that will use `jobs` worker
-    /// threads. For [`StrategyKind::IntraCombo`] the `jobs` budget is split:
-    /// the combo-level pool gets `max(1, jobs / workers)` threads, each of
-    /// which drives an exploration with [`Self::intra_workers`] threads.
+    /// threads.
     #[must_use]
     pub fn build(self, jobs: usize) -> Box<dyn ExploreStrategy + Send + Sync> {
         match self {
             StrategyKind::Auto if jobs <= 1 => Box::new(Serial),
             StrategyKind::Auto | StrategyKind::WorkerPool => Box::new(WorkerPool { jobs }),
             StrategyKind::Serial => Box::new(Serial),
-            StrategyKind::IntraCombo { .. } => {
-                let w = self.intra_workers().unwrap_or(1).max(1);
-                Box::new(WorkerPool {
-                    jobs: (jobs / w).max(1),
-                })
-            }
-        }
-    }
-
-    /// Threads each combo exploration should use, with `workers: 0`
-    /// resolved to the detected core count. `None` for every strategy other
-    /// than [`StrategyKind::IntraCombo`] — harnesses use this to pick
-    /// between `run_until` and `run_until_intra`.
-    #[must_use]
-    pub fn intra_workers(self) -> Option<usize> {
-        match self {
-            StrategyKind::IntraCombo { workers: 0 } => {
-                Some(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-            }
-            StrategyKind::IntraCombo { workers } => Some(workers),
-            _ => None,
         }
     }
 }
@@ -191,19 +159,12 @@ impl std::str::FromStr for StrategyKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if let Some(n) = s.strip_prefix("intra:") {
-            let workers: usize = n
-                .parse()
-                .map_err(|_| format!("bad intra worker count {n:?} (expected intra:<N>)"))?;
-            return Ok(StrategyKind::IntraCombo { workers });
-        }
         match s {
             "auto" => Ok(StrategyKind::Auto),
             "serial" => Ok(StrategyKind::Serial),
             "pool" | "worker-pool" => Ok(StrategyKind::WorkerPool),
-            "intra" => Ok(StrategyKind::IntraCombo { workers: 0 }),
             other => Err(format!(
-                "unknown strategy {other:?} (expected auto, serial, pool, intra, or intra:<N>)"
+                "unknown strategy {other:?} (expected auto, serial, or pool)"
             )),
         }
     }
@@ -293,22 +254,8 @@ mod tests {
             StrategyKind::Serial
         );
         assert!("bogus".parse::<StrategyKind>().is_err());
-    }
-
-    #[test]
-    fn intra_kind_splits_the_core_budget() {
-        let intra4 = "intra:4".parse::<StrategyKind>().unwrap();
-        assert_eq!(intra4, StrategyKind::IntraCombo { workers: 4 });
-        assert_eq!(intra4.intra_workers(), Some(4));
-        // 8 jobs / 4 intra workers = 2 combo-level workers.
-        assert_eq!(intra4.build(8).name(), "pool");
-        // The auto form resolves 0 to the detected core count, never 0.
-        let auto = "intra".parse::<StrategyKind>().unwrap();
-        assert_eq!(auto, StrategyKind::IntraCombo { workers: 0 });
-        assert!(auto.intra_workers().unwrap() >= 1);
-        // Non-intra kinds expose no intra worker count.
-        assert_eq!(StrategyKind::Auto.intra_workers(), None);
-        assert_eq!(StrategyKind::WorkerPool.intra_workers(), None);
-        assert!("intra:x".parse::<StrategyKind>().is_err());
+        // Sweeps parallelise across combos only; `intra[:N]` is no strategy.
+        assert!("intra".parse::<StrategyKind>().is_err());
+        assert!("intra:2".parse::<StrategyKind>().is_err());
     }
 }

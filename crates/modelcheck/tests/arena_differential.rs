@@ -12,10 +12,7 @@ use fa_modelcheck::checks::{
     check_consensus_safety_with, check_snapshot_task_coarse_with, check_snapshot_task_with,
     CheckConfig,
 };
-use fa_modelcheck::{
-    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, ShardedVisited, StrategyKind,
-    VisitedStore,
-};
+use fa_modelcheck::{ArenaTables, ExploreReport, Explorer, McState, StrategyKind};
 use proptest::prelude::*;
 
 /// Asserts two exploration reports are the same verdict: same state count,
@@ -170,86 +167,6 @@ fn sweep_reports_are_byte_identical_across_jobs_and_strategies() {
             consensus_ref,
             "{config:?}"
         );
-    }
-}
-
-#[test]
-fn intra_sweep_reports_are_byte_identical_across_workers() {
-    // The tentpole guarantee: a sweep run under `--strategy intra` renders
-    // the exact same `TaskCheckReport` bytes as the serial strategy for
-    // every intra worker count and `--jobs` split, composed with
-    // `--quotient` and a 64KiB `--visited-budget`.
-    let base = CheckConfig::serial()
-        .with_quotient()
-        .with_visited_budget(64 * 1024);
-    let fine_ref = format!(
-        "{:?}",
-        check_snapshot_task_with(&[1, 2], 500_000, &base)
-            .unwrap()
-            .report
-    );
-    let coarse_ref = format!(
-        "{:?}",
-        check_snapshot_task_coarse_with(&[1, 2, 3], 4_000, &base)
-            .unwrap()
-            .report
-    );
-    for workers in [1usize, 2, 4, 8] {
-        for jobs in [1usize, 4] {
-            let config = base
-                .clone()
-                .with_jobs(jobs)
-                .with_strategy(StrategyKind::IntraCombo { workers });
-            let fine = check_snapshot_task_with(&[1, 2], 500_000, &config).unwrap();
-            assert_eq!(
-                format!("{:?}", fine.report),
-                fine_ref,
-                "intra workers={workers} jobs={jobs}"
-            );
-            let coarse = check_snapshot_task_coarse_with(&[1, 2, 3], 4_000, &config).unwrap();
-            assert_eq!(
-                format!("{:?}", coarse.report),
-                coarse_ref,
-                "intra workers={workers} jobs={jobs}"
-            );
-        }
-    }
-}
-
-proptest! {
-    /// `ShardedVisited` must accept/reject exactly the set
-    /// `InMemoryVisited` does, whatever order rows arrive in and wherever
-    /// lookups interleave — sharding the hash index is invisible.
-    #[test]
-    fn sharded_visited_matches_inmemory_under_random_interleavings(
-        ops in proptest::collection::vec((0u8..2, proptest::collection::vec(0u32..4, 6)), 1..120),
-    ) {
-        let mut reference = InMemoryVisited::new(6);
-        let mut sharded = ShardedVisited::new(6, None);
-        for (op, row) in &ops {
-            if *op == 0 {
-                let expect = reference.lookup(row).unwrap();
-                let got = sharded.lookup(row).unwrap();
-                prop_assert_eq!(got, expect, "lookup diverges on {:?}", row);
-            } else {
-                let expect = reference.lookup(row).unwrap();
-                let got = sharded.lookup(row).unwrap();
-                prop_assert_eq!(got, expect);
-                if expect.is_none() {
-                    let a = reference.insert(row).unwrap();
-                    let b = sharded.insert(row).unwrap();
-                    prop_assert_eq!(a, b, "insert ids diverge on {:?}", row);
-                }
-            }
-        }
-        prop_assert_eq!(sharded.len(), reference.len());
-        for id in 0..reference.len() {
-            let mut a = vec![0u32; 6];
-            let mut b = vec![0u32; 6];
-            reference.read_row(id, &mut a).unwrap();
-            sharded.read_row(id, &mut b).unwrap();
-            prop_assert_eq!(a, b, "row {} diverges", id);
-        }
     }
 }
 
