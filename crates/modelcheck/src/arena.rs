@@ -8,14 +8,16 @@
 //! flat arena; a BFS step copies the parent row (a few words) and rewrites
 //! the one to three slots the step touches. Values live exactly once, in the
 //! tables; the hot path never clones an `Arc` per slot and visited-set
-//! lookup is a flat `&[u32]` hash with no pointer chasing.
+//! lookup is a flat `&[u32]` hash with no pointer chasing. The process
+//! transition itself is memoized on ids, so a transition seen before costs
+//! one small hash probe instead of a clone, a `step` and two interns.
 //!
 //! Invariants observe states through [`StateView`], a borrow of one row plus
 //! the tables; [`ArenaTables::decode`] materializes a full [`McState`] only
 //! on the cold paths (violation reporting, replay).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
@@ -128,6 +130,47 @@ impl<T: Eq + Hash> SlotInterner<T> {
     }
 }
 
+/// What a process step consumes besides the process itself: the id of the
+/// register value a read returned, or the completion of a write or output.
+/// A real enum key (not reserved id codes), since value ids may reach
+/// `id_cap - 1`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Input {
+    Read(u32),
+    Wrote,
+    Recorded,
+}
+
+/// Memoized process transitions: `(proc id, input) → (proc id′, pending
+/// id′)`.
+type TransitionMemo = HashMap<(u32, Input), (u32, u32), BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative (Fx-style) hasher for the memo's small integer keys;
+/// `finish` rotates the well-mixed high product bits down into the low bits
+/// that pick a bucket.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// The four slot tables of one exploration plus the row layout over them.
 ///
 /// Row layout (`row_words()` ids): `memory` ids at `0..m`, process ids at
@@ -144,6 +187,7 @@ where
     pub(crate) procs: SlotInterner<P>,
     pub(crate) pending: SlotInterner<Action<P::Value, P::Output>>,
     pub(crate) outputs: SlotInterner<Vec<P::Output>>,
+    memo: TransitionMemo,
     m: usize,
     n: usize,
 }
@@ -164,6 +208,7 @@ where
             procs: SlotInterner::new("procs", id_cap),
             pending: SlotInterner::new("pending", id_cap),
             outputs: SlotInterner::new("outputs", id_cap),
+            memo: TransitionMemo::default(),
             m,
             n,
         }
@@ -237,6 +282,10 @@ where
     /// step. Rewrites `p`'s process and pending ids plus at most one
     /// register or output id; every other word is untouched.
     ///
+    /// The register or output slot is interned first and the process slot
+    /// last, so ids are assigned in the same first-touch order whether the
+    /// process transition is computed or replayed from the memo.
+    ///
     /// # Errors
     ///
     /// Fails when a fresh slot value would not fit some table's id space
@@ -256,43 +305,58 @@ where
         let pend_ix = m + n + p.0;
         let pending_id = row[pend_ix];
         assert_ne!(pending_id, HALTED, "live process steps");
-        let action = Arc::clone(self.pending.get(pending_id));
-        match &*action {
-            Action::Read { local } => {
-                let g = wirings[p.0].global(*local);
-                // Hand the process a shared handle to the register cell; the
-                // version is always 0 — the model checker must never let
-                // processes observe write multiplicity.
-                let value =
-                    fa_memory::Versioned::from_shared(Arc::clone(self.memory.get(row[g.0])), 0);
-                let mut proc = (**self.procs.get(row[proc_ix])).clone();
-                let next_action = proc.step(StepInput::ReadValue(value));
-                row[proc_ix] = self.procs.intern_owned(proc)?;
-                row[pend_ix] = self.pending.intern_owned(next_action)?;
-            }
+        let input = match &**self.pending.get(pending_id) {
+            Action::Read { local } => Input::Read(row[wirings[p.0].global(*local).0]),
             Action::Write { local, value } => {
                 let g = wirings[p.0].global(*local);
                 row[g.0] = self.memory.intern_owned(value.clone())?;
-                let mut proc = (**self.procs.get(row[proc_ix])).clone();
-                let next_action = proc.step(StepInput::Wrote);
-                row[proc_ix] = self.procs.intern_owned(proc)?;
-                row[pend_ix] = self.pending.intern_owned(next_action)?;
+                Input::Wrote
             }
             Action::Output(o) => {
                 let out_ix = m + 2 * n + p.0;
                 let mut outs = (**self.outputs.get(row[out_ix])).clone();
                 outs.push(o.clone());
                 row[out_ix] = self.outputs.intern_owned(outs)?;
-                let mut proc = (**self.procs.get(row[proc_ix])).clone();
-                let next_action = proc.step(StepInput::OutputRecorded);
-                row[proc_ix] = self.procs.intern_owned(proc)?;
-                row[pend_ix] = self.pending.intern_owned(next_action)?;
+                Input::Recorded
             }
             Action::Halt => {
                 row[pend_ix] = HALTED;
+                return Ok(());
             }
-        }
+        };
+        let (proc_id, next_id) = self.transition(row[proc_ix], input)?;
+        row[proc_ix] = proc_id;
+        row[pend_ix] = next_id;
         Ok(())
+    }
+
+    /// The process transition `(proc id, input) → (proc id′, pending id′)`,
+    /// memoized for the life of the tables. Sound because a process id
+    /// denotes one interned representative and `step` is a pure function of
+    /// the process value and its input, so a hit returns exactly the ids a
+    /// recomputation would intern — and interns nothing new.
+    fn transition(&mut self, proc_id: u32, input: Input) -> Result<(u32, u32), IdSpaceExhausted> {
+        if let Some(&hit) = self.memo.get(&(proc_id, input)) {
+            return Ok(hit);
+        }
+        let mut proc = (**self.procs.get(proc_id)).clone();
+        let next_action = proc.step(match input {
+            // Hand the process a shared handle to the register cell; the
+            // version is always 0 — the model checker must never let
+            // processes observe write multiplicity.
+            Input::Read(value_id) => StepInput::ReadValue(fa_memory::Versioned::from_shared(
+                Arc::clone(self.memory.get(value_id)),
+                0,
+            )),
+            Input::Wrote => StepInput::Wrote,
+            Input::Recorded => StepInput::OutputRecorded,
+        });
+        let ids = (
+            self.procs.intern_owned(proc)?,
+            self.pending.intern_owned(next_action)?,
+        );
+        self.memo.insert((proc_id, input), ids);
+        Ok(ids)
     }
 
     /// Whether process `p`'s pending slot in `row` is a read — the scan
@@ -443,7 +507,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explorer::step_block;
+    use fa_core::SnapshotProcess;
     use fa_memory::Wiring;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Writes its input, then halts — the same toy process the explorer
     /// tests use.
@@ -543,6 +611,127 @@ mod tests {
         let err = tables.step_row(&mut row, ProcId(0), &wirings).unwrap_err();
         assert_eq!(err, IdSpaceExhausted { table: "pending" });
         assert!(err.to_string().contains("pending"));
+    }
+
+    /// A Figure-3 snapshot system on three processes and three registers
+    /// with three distinct wirings.
+    fn figure3_system() -> (McState<SnapshotProcess<u32>>, Vec<Arc<Wiring>>) {
+        let n = 3;
+        let procs = [4u32, 9, 4]
+            .iter()
+            .map(|&x| SnapshotProcess::new(x, n))
+            .collect();
+        let wirings = [vec![0, 1, 2], vec![1, 2, 0], vec![2, 1, 0]]
+            .into_iter()
+            .map(|perm| Arc::new(Wiring::from_perm(perm).unwrap()))
+            .collect();
+        (McState::initial(procs, n, Default::default()), wirings)
+    }
+
+    /// Every live process's block step out of `row`, checked against
+    /// `step_block` on the decoded state.
+    fn assert_block_steps_match(
+        tables: &mut ArenaTables<SnapshotProcess<u32>>,
+        row: &[u32],
+        wirings: &[Arc<Wiring>],
+    ) {
+        let state = tables.decode(row);
+        for p in state.live() {
+            let mut next = row.to_vec();
+            tables.step_block_row(&mut next, p, wirings).unwrap();
+            assert_eq!(tables.decode(&next), step_block(&state, p, wirings));
+        }
+    }
+
+    #[test]
+    fn arena_memo_warm_block_steps_decode_to_step_block() {
+        let (initial, wirings) = figure3_system();
+        let mut tables = ArenaTables::new(3, 3, HALTED);
+        let root = tables.encode(&initial).unwrap();
+        // The same seeded walk twice: the first pass fills the memo, the
+        // second must step entirely from it and still agree everywhere.
+        let mut warm_len = None;
+        for pass in 0..2 {
+            let mut rng = ChaCha8Rng::seed_from_u64(7);
+            let mut row = root.to_vec();
+            for _ in 0..24 {
+                assert_block_steps_match(&mut tables, &row, &wirings);
+                let live = StateView::new(&tables, &row).live();
+                let Some(&p) = live.get(rng.gen_range(0..live.len().max(1))) else {
+                    break;
+                };
+                tables.step_block_row(&mut row, p, &wirings).unwrap();
+            }
+            if pass == 0 {
+                warm_len = Some((tables.len_total(), tables.memo.len()));
+            }
+        }
+        assert_eq!(warm_len, Some((tables.len_total(), tables.memo.len())));
+    }
+
+    #[test]
+    fn arena_memo_hit_assigns_no_ids() {
+        let (initial, wirings) = figure3_system();
+        let mut tables = ArenaTables::new(3, 3, HALTED);
+        let row = tables.encode(&initial).unwrap();
+        for p in (0..3).map(ProcId) {
+            let mut first = row.to_vec();
+            tables.step_row(&mut first, p, &wirings).unwrap();
+            let sizes = (tables.len_total(), tables.memo.len());
+            let mut again = row.to_vec();
+            tables.step_row(&mut again, p, &wirings).unwrap();
+            assert_eq!(again, first);
+            assert_eq!((tables.len_total(), tables.memo.len()), sizes);
+        }
+    }
+
+    /// Breadth-first fine-grained steps out of the initial state until
+    /// `budget` steps were taken: every step's row, or the index of the
+    /// step that exhausted the id space. A `cold` drive forgets every memo
+    /// entry before each step, so it recomputes every transition.
+    fn drive(
+        id_cap: u32,
+        budget: usize,
+        cold: bool,
+    ) -> Result<Vec<Vec<u32>>, (usize, IdSpaceExhausted)> {
+        let (initial, wirings) = figure3_system();
+        let mut tables = ArenaTables::new(3, 3, id_cap);
+        let root = tables.encode(&initial).map_err(|e| (0, e))?.to_vec();
+        let mut seen = std::collections::HashSet::from([root.clone()]);
+        let mut queue = std::collections::VecDeque::from([root]);
+        let mut rows = Vec::new();
+        while let Some(row) = queue.pop_front() {
+            for p in StateView::new(&tables, &row).live() {
+                if rows.len() == budget {
+                    return Ok(rows);
+                }
+                if cold {
+                    tables.memo.clear();
+                }
+                let mut next = row.clone();
+                tables
+                    .step_row(&mut next, p, &wirings)
+                    .map_err(|e| (rows.len(), e))?;
+                if seen.insert(next.clone()) {
+                    queue.push_back(next.clone());
+                }
+                rows.push(next);
+            }
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn arena_memo_exhaustion_surfaces_at_the_same_step_as_cold() {
+        let budget = 60;
+        let mut exhausted = 0;
+        for id_cap in 1..=24 {
+            let warm = drive(id_cap, budget, false);
+            assert_eq!(warm, drive(id_cap, budget, true), "id_cap {id_cap}");
+            exhausted += usize::from(matches!(warm, Err((step, _)) if step > 0));
+        }
+        assert!(exhausted > 0, "some cap must exhaust mid-drive");
+        assert_eq!(drive(HALTED, budget, false).unwrap().len(), budget);
     }
 
     #[test]

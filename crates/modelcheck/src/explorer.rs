@@ -553,8 +553,9 @@ where
     /// This is the flat-arena BFS: states are id rows in one contiguous
     /// `Vec<u32>` (see [`crate::arena`]), stepping patches a copied row in
     /// place, and the visited set hashes rows directly — no per-state `Arc`
-    /// traffic. Explored states, order, and the report are identical to the
-    /// legacy [`Explorer::run_until_arc`] path.
+    /// traffic. Visited states, their order, and the report are identical
+    /// to the legacy [`Explorer::run_until_arc`] path, which unlike this
+    /// one keeps expanding after the state cap is reached.
     pub fn run_until<F, S>(&self, invariant: F, stop: S) -> ExploreReport<P>
     where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
@@ -660,6 +661,51 @@ where
             )
         };
 
+        // Every abort without a violation (stop signal, id-space exhaustion,
+        // store error) publishes final gauges and reports what was visited,
+        // honestly incomplete.
+        let bail = |flushed: &mut usize,
+                    store: &V,
+                    interner_entries: usize,
+                    depth: usize,
+                    terminal: usize,
+                    estimate: u64| {
+            flush_telemetry(
+                flushed,
+                store.len(),
+                depth,
+                interner_entries,
+                store.approx_bytes(),
+                store.spilled_shards(),
+            );
+            ExploreReport {
+                states: store.len(),
+                terminal_states: terminal,
+                complete: false,
+                violation: None,
+                full_states_estimate: self.quotient.then_some(estimate),
+                spilled_shards: store.spilled_shards(),
+            }
+        };
+        // The stop-poll boundary, every STOP_POLL_INTERVAL units of work:
+        // publish gauges, fire the progress hook, pass the crash-injection
+        // site, then ask whether to stop.
+        let poll_stop = |flushed: &mut usize, store: &V, interner_entries: usize, depth: usize| {
+            flush_telemetry(
+                flushed,
+                store.len(),
+                depth,
+                interner_entries,
+                store.approx_bytes(),
+                store.spilled_shards(),
+            );
+            if let Some(hook) = &self.progress {
+                hook.fire(store.len() as u64, depth as u64);
+            }
+            crash_point("explorer.poll");
+            stop()
+        };
+
         let Ok(k0) = tables.encode(&self.initial) else {
             // Not even the initial state fits the injected id space.
             return ExploreReport {
@@ -684,14 +730,14 @@ where
         };
         estimate += root_orbit;
         if store.insert(&root_row).is_err() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
+            return bail(
+                &mut flushed_states,
+                &store,
+                tables.len_total(),
+                0,
+                0,
+                estimate,
+            );
         }
         parents.push(None);
         depths.push(0);
@@ -722,41 +768,58 @@ where
         // observe the probe at all — one entry check keeps graceful aborts
         // (signals, memory watchdog) responsive on any combo size.
         if stop() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: terminal,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
+            return bail(
+                &mut flushed_states,
+                &store,
+                tables.len_total(),
+                0,
+                terminal,
+                estimate,
+            );
         }
 
         let mut cur_row = vec![0u32; w];
         let mut scratch = vec![0u32; w];
         let mut canon_buf = vec![0u32; w];
+        // Set when a *new* successor is refused at `max_states`. From then
+        // on no successor can be inserted, invariant-checked or
+        // orbit-counted, so expanding is wasted work: the rest of the queue
+        // is only drained to count terminal states. Each drained pop counts
+        // toward the stop poll, so aborts and crash sites stay responsive.
+        let mut capped = false;
         while let Some(cur) = queue.pop_front() {
             let depth = depths[cur] as usize;
+            if capped {
+                since_poll += 1;
+                if since_poll >= STOP_POLL_INTERVAL {
+                    since_poll = 0;
+                    if poll_stop(&mut flushed_states, &store, tables.len_total(), depth) {
+                        return bail(
+                            &mut flushed_states,
+                            &store,
+                            tables.len_total(),
+                            depth,
+                            terminal,
+                            estimate,
+                        );
+                    }
+                }
+            }
             if store.read_row(cur, &mut cur_row).is_err() {
-                flush_telemetry(
+                return bail(
                     &mut flushed_states,
-                    store.len(),
-                    depth,
+                    &store,
                     tables.len_total(),
-                    store.approx_bytes(),
-                    store.spilled_shards(),
+                    depth,
+                    terminal,
+                    estimate,
                 );
-                return ExploreReport {
-                    states: store.len(),
-                    terminal_states: terminal,
-                    complete: false,
-                    violation: None,
-                    full_states_estimate: self.quotient.then_some(estimate),
-                    spilled_shards: store.spilled_shards(),
-                };
             }
             if cur_row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
                 terminal += 1;
+                continue;
+            }
+            if capped {
                 continue;
             }
             if let Some(maxd) = self.max_depth {
@@ -773,27 +836,15 @@ where
                 since_poll += 1;
                 if since_poll >= STOP_POLL_INTERVAL {
                     since_poll = 0;
-                    flush_telemetry(
-                        &mut flushed_states,
-                        store.len(),
-                        depth,
-                        tables.len_total(),
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    if let Some(hook) = &self.progress {
-                        hook.fire(store.len() as u64, depth as u64);
-                    }
-                    crash_point("explorer.poll");
-                    if stop() {
-                        return ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        };
+                    if poll_stop(&mut flushed_states, &store, tables.len_total(), depth) {
+                        return bail(
+                            &mut flushed_states,
+                            &store,
+                            tables.len_total(),
+                            depth,
+                            terminal,
+                            estimate,
+                        );
                     }
                 }
                 scratch.copy_from_slice(&cur_row);
@@ -806,22 +857,14 @@ where
                     // Id-space exhaustion: abort gracefully, like hitting the
                     // state cap — the report stays honest (`complete: false`)
                     // and the sweep worker never panics.
-                    flush_telemetry(
+                    return bail(
                         &mut flushed_states,
-                        store.len(),
-                        depth,
+                        &store,
                         tables.len_total(),
-                        store.approx_bytes(),
-                        store.spilled_shards(),
+                        depth,
+                        terminal,
+                        estimate,
                     );
-                    return ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
                 }
                 // One expansion in DEDUP_SAMPLE_INTERVAL is wall-clock timed
                 // through canonicalization + hashing + visited lookup;
@@ -846,51 +889,34 @@ where
                     tel.dedup
                         .record_sampled_ns(ns, DEDUP_SAMPLE_INTERVAL as u64);
                 }
-                let duplicate = match seen {
-                    Ok(hit) => hit.is_some(),
+                match seen {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => {}
                     Err(_) => {
-                        flush_telemetry(
+                        return bail(
                             &mut flushed_states,
-                            store.len(),
-                            depth,
+                            &store,
                             tables.len_total(),
-                            store.approx_bytes(),
-                            store.spilled_shards(),
-                        );
-                        return ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        };
+                            depth,
+                            terminal,
+                            estimate,
+                        )
                     }
-                };
-                if duplicate {
-                    continue;
                 }
                 if store.len() >= self.max_states {
                     complete = false;
-                    continue;
+                    capped = true;
+                    break;
                 }
                 let Ok(id) = store.insert(&scratch) else {
-                    flush_telemetry(
+                    return bail(
                         &mut flushed_states,
-                        store.len(),
-                        depth,
+                        &store,
                         tables.len_total(),
-                        store.approx_bytes(),
-                        store.spilled_shards(),
+                        depth,
+                        terminal,
+                        estimate,
                     );
-                    return ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
                 };
                 estimate += orbit;
                 parents.push(Some((cur, p)));
@@ -1582,6 +1608,59 @@ mod tests {
             same.states,
             distinct.states
         );
+    }
+
+    #[test]
+    fn capped_drain_still_polls_stop_and_progress() {
+        use fa_core::SnapshotProcess;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let mk = || {
+            let procs: Vec<SnapshotProcess<u8>> = [1, 2, 3]
+                .iter()
+                .map(|&x| SnapshotProcess::new(x, 3))
+                .collect();
+            Explorer::new(
+                procs,
+                3,
+                Default::default(),
+                vec![
+                    Wiring::identity(3),
+                    Wiring::cyclic_shift(3, 1),
+                    Wiring::cyclic_shift(3, 2),
+                ],
+            )
+            .with_coarse_scans()
+        };
+        // Far below the reachable space, with a wide BFS frontier queued.
+        let cap = 20_000;
+        // Polls that see a full store can only come from the drain (or the
+        // one poll that may land exactly as the store fills).
+        let run_capped = |stop_after: usize| {
+            let polls_at_cap = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&polls_at_cap);
+            let report = mk()
+                .with_max_states(cap)
+                .with_progress_hook(ProgressHook::new(move |states, _| {
+                    if states == cap as u64 {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                    }
+                }))
+                .run_until(
+                    |_| Ok(()),
+                    || polls_at_cap.load(Ordering::Relaxed) >= stop_after,
+                );
+            (report, polls_at_cap.load(Ordering::Relaxed))
+        };
+        let (drained, polls) = run_capped(usize::MAX);
+        assert!(polls >= 2, "the drain polled only {polls} times at the cap");
+        assert_eq!(drained.states, cap);
+        assert!(!drained.complete);
+        // A stop raised mid-drain is honored at the very poll that sees it.
+        let (stopped, stopped_polls) = run_capped(2);
+        assert_eq!(stopped_polls, 2);
+        assert_eq!(stopped.states, cap);
+        assert!(!stopped.complete);
     }
 
     #[test]

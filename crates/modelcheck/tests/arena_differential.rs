@@ -12,7 +12,7 @@ use fa_modelcheck::checks::{
     check_consensus_safety_with, check_snapshot_task_coarse_with, check_snapshot_task_with,
     CheckConfig,
 };
-use fa_modelcheck::{ArenaTables, ExploreReport, Explorer, McState, StrategyKind};
+use fa_modelcheck::{ArenaTables, ExploreReport, Explorer, McState, StateView, StrategyKind};
 use proptest::prelude::*;
 
 /// Asserts two exploration reports are the same verdict: same state count,
@@ -113,6 +113,114 @@ fn arena_matches_arc_on_the_consensus_system() {
     let arena = explorer.run(|_| Ok(()));
     let arc = explorer.run_arc(|_| Ok(()));
     assert_reports_identical(&arena, &arc);
+}
+
+/// The state caps at the edges of a space of `k` reachable states — the
+/// smallest cap, one short, exact, one over — plus fifteen caps spread
+/// through the space. Terminal states sit deep in the BFS, so only the
+/// caps that stop with terminals still queued test the drain's counting.
+fn cap_edges(k: usize) -> Vec<usize> {
+    let mut caps = vec![1, k - 1, k, k + 1];
+    caps.extend((1..16).map(|j| k * j / 16));
+    caps
+}
+
+/// An invariant that trips on the first state in which some process has
+/// produced an output — deep enough that small caps never reach it.
+fn no_outputs(s: &StateView<'_, SnapshotProcess<u32>>) -> Result<(), String> {
+    match s.first_outputs().iter().flatten().count() {
+        0 => Ok(()),
+        outs => Err(format!("saw {outs} outputs")),
+    }
+}
+
+#[test]
+fn arena_matches_arc_at_the_state_cap_edges() {
+    // The arena BFS stops expanding once a new successor is refused at the
+    // cap and only drains the queue for terminal counts; the Arc engine
+    // still expands to the end. Both must report the same thing.
+    let explorer = snapshot_explorer(false);
+    let k = explorer.run(|_| Ok(())).states;
+    for cap in cap_edges(k) {
+        let capped = snapshot_explorer(false).with_max_states(cap);
+        let arena = capped.run(|_| Ok(()));
+        assert_reports_identical(&arena, &capped.run_arc(|_| Ok(())));
+        assert_eq!(arena.states, cap.min(k), "cap {cap}");
+        assert_eq!(
+            arena.complete,
+            cap >= k,
+            "cap {cap}: exact fill is complete"
+        );
+
+        let arena = capped.run(no_outputs);
+        let arc = capped.run_arc(|s: &McState<SnapshotProcess<u32>>| {
+            match s.first_outputs().iter().flatten().count() {
+                0 => Ok(()),
+                outs => Err(format!("saw {outs} outputs")),
+            }
+        });
+        assert_reports_identical(&arena, &arc);
+    }
+    let full = explorer.run(no_outputs);
+    assert!(full.violation.is_some(), "the invariant must trip uncapped");
+    assert!(
+        snapshot_explorer(false)
+            .with_max_states(1)
+            .run(no_outputs)
+            .violation
+            .is_none(),
+        "the invariant must not trip at cap 1"
+    );
+}
+
+/// The symmetric snapshot system (equal inputs, identity wirings), whose
+/// quotient group swaps the two processes.
+fn symmetric_snapshot_explorer() -> Explorer<SnapshotProcess<u32>> {
+    let procs: Vec<SnapshotProcess<u32>> = [5u32, 5]
+        .iter()
+        .map(|&x| SnapshotProcess::new(x, 2))
+        .collect();
+    let wirings = vec![Wiring::identity(2), Wiring::identity(2)];
+    Explorer::new(procs, 2, Default::default(), wirings)
+}
+
+#[test]
+fn spill_and_quotient_match_the_unbudgeted_arena_at_the_cap_edges() {
+    let assert_same = |budgeted: &ExploreReport<SnapshotProcess<u32>>,
+                       plain: &ExploreReport<SnapshotProcess<u32>>| {
+        assert_reports_identical(budgeted, plain);
+        assert_eq!(budgeted.full_states_estimate, plain.full_states_estimate);
+    };
+    let mut reachable = Vec::new();
+    for quotient in [false, true] {
+        let base = || {
+            let e = symmetric_snapshot_explorer();
+            if quotient {
+                e.with_quotient()
+            } else {
+                e
+            }
+        };
+        let k = base().run(|_| Ok(())).states;
+        reachable.push(k);
+        for cap in cap_edges(k) {
+            for invariant in [|_: &StateView<'_, _>| Ok(()), no_outputs] {
+                let plain = base().with_max_states(cap).run(invariant);
+                let spilled = base()
+                    .with_max_states(cap)
+                    .with_visited_budget(0)
+                    .run(invariant);
+                assert_same(&spilled, &plain);
+                if plain.violation.is_none() {
+                    assert_eq!(plain.complete, cap >= k, "quotient {quotient}, cap {cap}");
+                }
+            }
+        }
+    }
+    assert!(
+        reachable[1] < reachable[0],
+        "the quotient group is nontrivial"
+    );
 }
 
 #[test]
