@@ -1011,7 +1011,9 @@ mod tests {
     use super::*;
     use fa_obs::RunMetrics;
 
-    /// Writes `rounds` times to alternating registers, then halts.
+    /// Writes `rounds` times to its register 0 — round `k` writes
+    /// [`round_value`]`(input, k)`, so every write in a run is distinct —
+    /// then outputs its input and halts.
     #[derive(Clone)]
     struct WriterN {
         input: u32,
@@ -1029,9 +1031,15 @@ mod tests {
             if self.done > self.rounds {
                 return Action::Halt;
             }
+            let value = round_value(self.input, self.done);
             self.done += 1;
-            Action::write(0, self.input)
+            Action::write(0, value)
         }
+    }
+
+    /// The value [`WriterN`] with `input` writes in round `round`.
+    fn round_value(input: u32, round: u32) -> u32 {
+        input * 1_000 + round
     }
 
     fn writers(n: usize, rounds: u32) -> Vec<WriterN> {
@@ -1141,8 +1149,18 @@ mod tests {
         );
         assert_eq!(report.covered_registers(), vec![0]);
         assert!(report.outcomes[1].is_completed());
-        // The pending write never landed: p1's write is the final value.
-        assert_eq!(report.final_contents, vec![1]);
+        // p0's round-0 write landed; its round-1 write stayed pending and
+        // never lands. Whichever writer went last, the register ends at
+        // p0's round-0 value or p1's last-round value, never p0's poised
+        // one.
+        let poised = round_value(0, 1);
+        assert_ne!(report.final_contents, vec![poised]);
+        let final_value = report.final_contents[0];
+        assert!(
+            final_value == round_value(0, 0) || final_value == round_value(1, 2),
+            "final contents {:?}",
+            report.final_contents
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! # Journal format
 //!
 //! The journal is a single append-only file (`sweep.journal` inside the
-//! checkpoint directory) of length-prefixed, checksummed frames — the same
-//! discipline as the visited-store spill shards:
+//! checkpoint directory) of length-prefixed, checksummed frames. The
+//! checksum is FNV-1a, kept byte-for-byte so existing journals still
+//! resume (the visited-store spill shards, never read across runs, use the
+//! store's faster word-at-a-time checksum instead):
 //!
 //! ```text
 //! [u32 LE payload-len][u64 LE fnv1a(payload)][payload bytes]
@@ -50,7 +52,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::store::fnv1a;
 use crate::strategy::ComboOutcome;
 
 /// File name of the journal inside a checkpoint directory.
@@ -372,6 +373,17 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
     };
     c.finish()?;
     Ok(rec)
+}
+
+/// FNV-1a over a byte slice: the journal's frame checksums and sweep
+/// fingerprints. Frozen — existing journals must still resume.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Frame header size: u32 payload length + u64 FNV-1a checksum.

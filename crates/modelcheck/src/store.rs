@@ -1,13 +1,15 @@
 //! Visited-set storage for the arena BFS: a [`VisitedStore`] trait with a
-//! hot in-memory table ([`InMemoryVisited`], the exact logic the explorer
-//! used inline before this module existed) and a tiered implementation
+//! hot in-memory table ([`InMemoryVisited`]) and a tiered implementation
 //! ([`TieredVisited`]) that spills cold row shards to an append-only
 //! file-backed tier once a configurable memory budget is exceeded
 //! (DESIGN §13).
 //!
 //! Both stores assign state ids in insertion order (`0, 1, 2, ..`), so the
 //! explorer's BFS numbering — and therefore every report it assembles — is
-//! identical whichever store backs it. The tiered store keeps its hash
+//! identical whichever store backs it. Both find rows through one
+//! [`RowIndex`]: an open-addressing table of `(row hash, id)` pairs. A hash
+//! match only nominates a candidate; the full row is always compared, so
+//! dedup is exact and never fingerprint-only. The tiered store keeps its
 //! index in memory permanently (only row payloads spill) and reads spilled
 //! shards back through two one-shard caches: one for the BFS's nearly
 //! sequential pops, one for dedup probes, so neither evicts the other.
@@ -18,31 +20,99 @@
 //! explorer converts into `complete: false` rather than silently
 //! mis-deduplicating.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::hash::{Hash, Hasher};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hash of one row, matching the explorer's historical row hashing exactly
-/// (so in-memory runs before and after this module report identically).
-fn hash_row(row: &[u32]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    row.hash(&mut h);
-    h.finish()
+/// Hash of a run of words: the [`RowIndex`] key of a row, and the checksum
+/// of a spilled shard's rows. Words are taken two at a time into a
+/// multiply-mix step `h <- (rotl(h, 23) ^ word) * K`, then finalized. For
+/// a fixed word the step is a bijection of `h`, and for a fixed `h` it is
+/// injective in the word (`K` is odd), as is the finalizer — so two runs of
+/// equal length that differ in any single word always hash differently.
+/// That is the guarantee the spill checksum relies on.
+fn hash_words(words: &[u32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let mut h = (words.len() as u64).wrapping_mul(K);
+    let mut pairs = words.chunks_exact(2);
+    for p in &mut pairs {
+        h = step(h, u64::from(p[0]) | u64::from(p[1]) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h = step(h, u64::from(*last));
+    }
+    // MurmurHash3's 64-bit finalizer: spreads every input bit over the low
+    // bits that pick a `RowIndex` slot.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
-/// FNV-1a over a byte slice — the per-shard spill checksum, shared with
-/// the checkpoint journal's frame checksums.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Marks a free [`RowIndex`] slot. Ids are dense from 0, so no store holds
+/// enough rows to reach it.
+const EMPTY: usize = usize::MAX;
+
+/// Both stores' hash index: open addressing with linear probing over
+/// `(row hash, id)` slots in one flat table, doubled — and refilled from
+/// the stored hashes, never from rows — once it is 7/8 full. Rows with
+/// equal hashes each take their own slot; the index only nominates
+/// candidate ids, and the store compares the full row. No state costs a
+/// heap allocation of its own.
+#[derive(Debug, Default)]
+struct RowIndex {
+    /// `(row hash, id)`, or `(_, EMPTY)`; the length is 0 or a power of two.
+    slots: Vec<(u64, usize)>,
+    len: usize,
+}
+
+impl RowIndex {
+    /// Records that row `id` has hash `hash`.
+    fn insert(&mut self, hash: u64, id: usize) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            let cap = (self.slots.len() * 2).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]);
+            for (h, i) in old {
+                if i != EMPTY {
+                    self.place(h, i);
+                }
+            }
+        }
+        self.place(hash, id);
+        self.len += 1;
     }
-    h
+
+    fn place(&mut self, hash: u64, id: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, id);
+    }
+
+    /// Ids recorded under `hash`, in probe order. The table always keeps a
+    /// free slot, which ends every probe.
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut i = hash as usize;
+        std::iter::from_fn(move || {
+            let mask = self.slots.len().checked_sub(1)?;
+            loop {
+                let (h, id) = self.slots[i & mask];
+                if id == EMPTY {
+                    return None;
+                }
+                i = (i & mask) + 1;
+                if h == hash {
+                    return Some(id);
+                }
+            }
+        })
+    }
 }
 
 /// A visited-store failure. [`StoreError::Io`] wraps spill-file I/O errors
@@ -121,13 +191,12 @@ pub trait VisitedStore: std::fmt::Debug {
 /// entries) — the constant the explorer's byte gauge has always used.
 const STATE_OVERHEAD_BYTES: usize = 72;
 
-/// The hot all-in-memory store: a flat row arena plus a hash index, the
-/// verbatim extraction of the explorer's original inline visited set.
+/// The hot all-in-memory store: a flat row arena plus a [`RowIndex`].
 #[derive(Debug)]
 pub struct InMemoryVisited {
     w: usize,
     rows: Vec<u32>,
-    index: HashMap<u64, Vec<usize>>,
+    index: RowIndex,
 }
 
 impl InMemoryVisited {
@@ -137,7 +206,7 @@ impl InMemoryVisited {
         InMemoryVisited {
             w: row_words,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: RowIndex::default(),
         }
     }
 }
@@ -152,18 +221,16 @@ impl VisitedStore for InMemoryVisited {
     }
 
     fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash_row(row)) else {
-            return Ok(None);
-        };
-        Ok(ids
-            .iter()
-            .copied()
-            .find(|&i| self.rows[i * self.w..(i + 1) * self.w] == *row))
+        let w = self.w;
+        Ok(self
+            .index
+            .candidates(hash_words(row))
+            .find(|&i| self.rows[i * w..(i + 1) * w] == *row))
     }
 
     fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
         let id = self.len();
-        self.index.entry(hash_row(row)).or_default().push(id);
+        self.index.insert(hash_words(row), id);
         self.rows.extend_from_slice(row);
         Ok(id)
     }
@@ -181,6 +248,9 @@ impl VisitedStore for InMemoryVisited {
         self.rows.len() * 4 + self.len() * STATE_OVERHEAD_BYTES
     }
 }
+
+/// Bytes before each spilled shard's payload: its `u64` LE checksum.
+const SHARD_HEADER_BYTES: usize = 8;
 
 /// Distinguishes concurrent explorations' spill files within one process.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -201,6 +271,14 @@ enum Shard {
     Disk { offset: u64 },
 }
 
+/// One decoded spilled shard. A miss reloads into the same buffer.
+#[derive(Debug, Default)]
+struct ShardCache {
+    /// Index of the shard whose rows `rows` holds, if any.
+    shard: Option<usize>,
+    rows: Vec<u32>,
+}
+
 /// The spill file and its two read-back caches. Sequential BFS pops
 /// (`read_row`) and dedup probes (`lookup`) each get their own one-shard
 /// slot: probes compare against rows in old shards, and with one shared
@@ -210,10 +288,13 @@ enum Shard {
 struct DiskTier {
     file: Option<File>,
     file_len: u64,
-    /// `(shard index, decoded rows)` last loaded by `read_row`.
-    read_cache: Option<(usize, Vec<u32>)>,
-    /// `(shard index, decoded rows)` last loaded by `lookup`.
-    probe_cache: Option<(usize, Vec<u32>)>,
+    /// The shard last loaded by `read_row`.
+    read_cache: ShardCache,
+    /// The shard last loaded by `lookup`.
+    probe_cache: ShardCache,
+    /// Encoded shard (checksum header + payload), reused by every spill
+    /// and every load.
+    bytes: Vec<u8>,
     /// Shards read back from disk so far (cache misses of either slot).
     loads: u64,
 }
@@ -325,26 +406,25 @@ impl TieredRows {
             self.shard_rows * self.w,
             "only full shards spill"
         );
-        let mut payload: Vec<u8> = Vec::with_capacity(rows.len() * 4);
+        let bytes = &mut self.disk.bytes;
+        bytes.clear();
+        bytes.extend_from_slice(&hash_words(rows).to_le_bytes());
         for v in rows {
-            payload.extend_from_slice(&v.to_le_bytes());
+            bytes.extend_from_slice(&v.to_le_bytes());
         }
-        let checksum = fnv1a(&payload);
         if self.corrupt_next_spill {
             self.corrupt_next_spill = false;
-            payload[0] ^= 0xFF;
+            bytes[SHARD_HEADER_BYTES] ^= 0xFF;
         }
         let offset = self.disk.file_len;
-        let file = self.disk.file.as_mut().expect("ensure_file ran");
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(&checksum.to_le_bytes())?;
-        file.write_all(&payload)?;
+        let file = self.disk.file.as_ref().expect("ensure_file ran");
+        file.write_all_at(bytes, offset)?;
         if self.spill_dir.is_some() {
             // Durable mode: the shard is sealed — make it survive a crash
             // before anything depends on it being on disk.
             file.sync_data()?;
         }
-        self.disk.file_len = offset + 8 + payload.len() as u64;
+        self.disk.file_len = offset + bytes.len() as u64;
         self.shards[s] = Shard::Disk { offset };
         self.next_to_spill += 1;
         self.spilled += 1;
@@ -396,8 +476,8 @@ impl TieredRows {
     }
 
     /// Row `id`, read through the `probe` or the sequential-read cache slot
-    /// when its shard is on disk. A miss loads the whole shard and verifies
-    /// its checksum.
+    /// when its shard is on disk. A miss loads the whole shard with one
+    /// positioned read and verifies its checksum.
     fn row(&mut self, id: usize, probe: bool) -> Result<&[u32], StoreError> {
         let w = self.w;
         let s = id / self.shard_rows;
@@ -406,38 +486,40 @@ impl TieredRows {
             Shard::Ram(rows) => return Ok(&rows[r * w..(r + 1) * w]),
             Shard::Disk { offset } => *offset,
         };
-        let payload_bytes = self.shard_rows * w * 4;
         let disk = &mut self.disk;
         let cache = if probe {
             &mut disk.probe_cache
         } else {
             &mut disk.read_cache
         };
-        if cache.as_ref().map(|(c, _)| *c) != Some(s) {
-            let file = disk.file.as_mut().ok_or_else(|| {
+        if cache.shard != Some(s) {
+            // The load overwrites the buffer, so a failed one must leave the
+            // slot empty rather than claiming the old shard.
+            cache.shard = None;
+            let file = disk.file.as_ref().ok_or_else(|| {
                 StoreError::Corrupt(format!("shard {s} marked spilled but no spill file exists"))
             })?;
-            let mut header = [0u8; 8];
-            let mut payload = vec![0u8; payload_bytes];
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut header)?;
-            file.read_exact(&mut payload)?;
-            let expect = u64::from_le_bytes(header);
-            let got = fnv1a(&payload);
+            let bytes = &mut disk.bytes;
+            bytes.resize(SHARD_HEADER_BYTES + self.shard_rows * w * 4, 0);
+            file.read_exact_at(bytes, offset)?;
+            let (header, payload) = bytes.split_at(SHARD_HEADER_BYTES);
+            cache.rows.clear();
+            cache.rows.extend(
+                payload
+                    .chunks_exact(4)
+                    .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+            let expect = u64::from_le_bytes(header.try_into().expect("8-byte header"));
+            let got = hash_words(&cache.rows);
             if got != expect {
                 return Err(StoreError::Corrupt(format!(
                     "shard {s} at offset {offset}: checksum {got:#018x} != recorded {expect:#018x}"
                 )));
             }
-            let rows: Vec<u32> = payload
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
             disk.loads += 1;
-            *cache = Some((s, rows));
+            cache.shard = Some(s);
         }
-        let (_, rows) = cache.as_ref().expect("shard just cached");
-        Ok(&rows[r * w..(r + 1) * w])
+        Ok(&cache.rows[r * w..(r + 1) * w])
     }
 }
 
@@ -456,7 +538,7 @@ impl Drop for TieredRows {
 /// stay one hash probe plus (rarely) one cached shard read.
 #[derive(Debug)]
 pub struct TieredVisited {
-    index: HashMap<u64, Vec<usize>>,
+    index: RowIndex,
     core: TieredRows,
 }
 
@@ -467,7 +549,7 @@ impl TieredVisited {
     #[must_use]
     pub fn new(row_words: usize, budget_bytes: usize) -> Self {
         TieredVisited {
-            index: HashMap::new(),
+            index: RowIndex::default(),
             core: TieredRows::new(row_words, budget_bytes),
         }
     }
@@ -527,10 +609,7 @@ impl VisitedStore for TieredVisited {
     }
 
     fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash_row(row)) else {
-            return Ok(None);
-        };
-        for &id in ids {
+        for id in self.index.candidates(hash_words(row)) {
             if self.core.row(id, true)? == row {
                 return Ok(Some(id));
             }
@@ -540,7 +619,7 @@ impl VisitedStore for TieredVisited {
 
     fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
         let id = self.core.len;
-        self.index.entry(hash_row(row)).or_default().push(id);
+        self.index.insert(hash_words(row), id);
         self.core.push_row(row)?;
         Ok(id)
     }
@@ -770,6 +849,153 @@ mod tests {
         let mut out = vec![0u32; w];
         t.read_row(0, &mut out).unwrap();
         assert_eq!(out, row(0, w));
+    }
+
+    /// The id `index` nominates under `hash` whose row in `rows` equals
+    /// `probe` — the stores' exact lookup, over rows in a plain vector.
+    fn find(index: &RowIndex, rows: &[Vec<u32>], hash: u64, probe: &[u32]) -> Option<usize> {
+        index.candidates(hash).find(|&i| rows[i] == probe)
+    }
+
+    #[test]
+    fn store_index_equal_hashes_coexist_and_compare_full_rows() {
+        let w = 3;
+        let mut index = RowIndex::default();
+        let mut rows = Vec::new();
+        // Every even id shares hash 7; odd ids get their real hash.
+        for i in 0..300u32 {
+            let r = row(i, w);
+            let hash = if i % 2 == 0 { 7 } else { hash_words(&r) };
+            index.insert(hash, i as usize);
+            rows.push(r);
+        }
+        for i in 0..300u32 {
+            let r = row(i, w);
+            let hash = if i % 2 == 0 { 7 } else { hash_words(&r) };
+            assert_eq!(find(&index, &rows, hash, &r), Some(i as usize));
+        }
+        assert_eq!(index.candidates(7).count(), 150);
+        let mut forced: Vec<usize> = index.candidates(7).collect();
+        forced.sort_unstable();
+        assert_eq!(forced, (0..300).step_by(2).collect::<Vec<_>>());
+        // A row that was never stored matches no candidate, on the shared
+        // hash or its own.
+        let absent = row(1_000, w);
+        assert_eq!(find(&index, &rows, 7, &absent), None);
+        assert_eq!(find(&index, &rows, hash_words(&absent), &absent), None);
+    }
+
+    #[test]
+    fn store_index_grows_across_resize_boundaries() {
+        let w = 4;
+        let total = if cfg!(miri) { 2_000 } else { 100_000 };
+        let mut s = InMemoryVisited::new(w);
+        let mut out = vec![0u32; w];
+        let mut cap = 0;
+        for i in 0..total {
+            let r = row(i as u32, w);
+            assert_eq!(s.lookup(&r).unwrap(), None);
+            assert_eq!(s.insert(&r).unwrap(), i, "ids stay dense");
+            let slots = s.index.slots.len();
+            assert!(slots.is_power_of_two());
+            assert!(s.index.len * 8 <= slots * 7, "the table keeps free slots");
+            // Just after each resize (and at the end), every row inserted
+            // so far is still found under its own id.
+            if slots != cap || i + 1 == total {
+                cap = slots;
+                for j in 0..=i {
+                    assert_eq!(s.lookup(&row(j as u32, w)).unwrap(), Some(j));
+                }
+                s.read_row(i, &mut out).unwrap();
+                assert_eq!(out, r);
+                assert_eq!(s.lookup(&row(total as u32 + 1, w)).unwrap(), None);
+            }
+        }
+        assert_eq!(s.len(), total);
+        assert_eq!(s.index.len, total);
+    }
+
+    #[test]
+    fn store_index_inmemory_and_tiered_assign_identical_ids() {
+        let w = 5;
+        let mut m = InMemoryVisited::new(w);
+        // A budget no stream here reaches: nothing spills, no file exists.
+        let mut t = TieredVisited::new(w, 1 << 30);
+        // A stream with repeats, as BFS successors are.
+        for i in 0..4_000u32 {
+            let r = row(i.wrapping_mul(7_919) % 1_500, w);
+            let seen = m.lookup(&r).unwrap();
+            assert_eq!(t.lookup(&r).unwrap(), seen, "step {i}");
+            if seen.is_none() {
+                assert_eq!(t.insert(&r).unwrap(), m.insert(&r).unwrap());
+            }
+        }
+        assert_eq!(m.len(), 1_500);
+        assert_eq!(t.len(), m.len());
+        assert_eq!(t.spilled_shards(), 0);
+        assert!(t.spill_path().is_none());
+        let mut a = vec![0u32; w];
+        let mut b = vec![0u32; w];
+        for id in 0..m.len() {
+            t.read_row(id, &mut a).unwrap();
+            m.read_row(id, &mut b).unwrap();
+            assert_eq!(a, b);
+        }
+    }
+
+    /// The spill checksum's guarantee: equal-length word runs that differ
+    /// in one word never hash alike.
+    #[test]
+    fn store_index_hash_separates_single_word_changes() {
+        for w in [1, 2, 5, 20] {
+            let base = row(12_345, w);
+            let h = hash_words(&base);
+            for pos in 0..w {
+                for delta in [1u32, 0x80, 0x8000_0000, u32::MAX] {
+                    let mut changed = base.clone();
+                    changed[pos] ^= delta;
+                    assert_ne!(hash_words(&changed), h, "w {w} pos {pos} delta {delta:#x}");
+                }
+            }
+        }
+    }
+
+    /// Any single corrupted byte of a spilled shard — payload or checksum
+    /// header — fails the checksum on read-back.
+    #[test]
+    fn store_tiered_every_flipped_shard_byte_fails_checksum() {
+        let w = 4;
+        let mut t = TieredVisited::new(w, 0);
+        let total = 2 * t.shard_rows();
+        for i in 0..total {
+            t.insert(&row(i as u32, w)).unwrap();
+        }
+        assert!(t.spilled_shards() >= 1);
+        // Shard 0 sits at offset 0; nothing has read it back yet, so every
+        // read below goes to disk.
+        let shard_bytes = SHARD_HEADER_BYTES + t.shard_rows() * w * 4;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(t.spill_path().unwrap())
+            .unwrap();
+        let flip = |at: u64| {
+            let mut b = [0u8; 1];
+            file.read_exact_at(&mut b, at).unwrap();
+            file.write_all_at(&[b[0] ^ 0xFF], at).unwrap();
+        };
+        let mut out = vec![0u32; w];
+        for at in 0..shard_bytes as u64 {
+            flip(at);
+            let err = t.read_row(0, &mut out).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "byte {at}: {err:?}");
+            flip(at);
+        }
+        assert_eq!(t.shard_loads(), 0, "failed loads are not counted");
+        // Restored, the shard verifies and reads back.
+        t.read_row(0, &mut out).unwrap();
+        assert_eq!(out, row(0, w));
+        assert_eq!(t.shard_loads(), 1);
     }
 
     /// The BFS pops rows in id order while its dedup probes compare
