@@ -5,9 +5,6 @@
 //! Flags:
 //! * `--jobs N` — sweep worker threads (default: available parallelism);
 //!   the reports are identical for any `N`, only wall-clock changes.
-//! * `--strategy auto|serial|pool` — sweep executor selection (default:
-//!   `auto`, serial for one job and the worker pool otherwise). Reports
-//!   are identical across strategies.
 //! * `--smoke` — print only the deterministic report lines (no timing) for
 //!   a reduced 2-proc fine + 3-proc coarse sweep; CI diffs this output
 //!   across `--jobs` values to catch nondeterministic violation selection.

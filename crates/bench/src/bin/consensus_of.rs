@@ -2,8 +2,7 @@
 //! termination holds whenever contention subsides (solo tail), and solo runs
 //! decide in a constant number of snapshot rounds.
 //!
-//! Honors the shared sweep flags (`--jobs`, `--strategy auto|serial|pool`,
-//! `--quotient`, `--visited-budget`,
+//! Honors the shared sweep flags (`--jobs`, `--quotient`, `--visited-budget`,
 //! `--checkpoint-dir`/`--checkpoint-every`/`--resume`, `--memory-limit`).
 //! Exit codes: 0 clean, 2 incomplete (the safety check is depth-bounded by
 //! design — the timestamp space is unbounded — so this is the expected code

@@ -4,8 +4,7 @@
 //!
 //! Usage: `cargo run --release -p fa-bench --bin sweep > results.json`
 //!
-//! Honors the shared sweep flags (`--jobs`, `--strategy auto|serial|pool`,
-//! `--quotient`, `--visited-budget`,
+//! Honors the shared sweep flags (`--jobs`, `--quotient`, `--visited-budget`,
 //! `--checkpoint-dir`/`--checkpoint-every`/`--resume`, `--memory-limit`).
 //! Exit codes: 0 clean, 2 the E3 model check finished incomplete (budget or
 //! SIGINT/SIGTERM abort; resumable when checkpointed), 3 violation found.

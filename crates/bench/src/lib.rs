@@ -84,19 +84,6 @@ pub fn cli_jobs() -> Option<usize> {
     })
 }
 
-/// The sweep executor requested via `--strategy auto|serial|pool`
-/// (`None` when absent: [`fa_modelcheck::StrategyKind::Auto`]). Every
-/// strategy runs each combo's BFS on one thread; `--jobs` sets how many
-/// combos run at once.
-///
-/// # Panics
-///
-/// Panics with a usage message if the value names no known strategy.
-#[must_use]
-pub fn cli_strategy() -> Option<fa_modelcheck::StrategyKind> {
-    cli_value("--strategy").map(|v| v.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// Parses a human-readable byte size: a plain integer (`65536`), a binary
 /// suffix (`64KiB`, `2GiB` — powers of 1024), a decimal suffix (`64KB`,
 /// `2GB` — powers of 1000), or a bare letter (`64K`, `2G` — binary, the
@@ -202,18 +189,29 @@ pub fn cli_memory_limit() -> Option<u64> {
     cli_size("--memory-limit")
 }
 
-/// A model-check [`CheckConfig`] honoring the `--jobs`, `--strategy`,
-/// `--quotient`, `--visited-budget`, `--checkpoint-dir`,
-/// `--checkpoint-every`, `--resume`, and `--memory-limit` flags.
+/// Panics with a usage message if the removed `--strategy` flag is among
+/// `args`: sweeps have one executor, and `--jobs` sets its worker count.
+fn reject_removed_strategy_flag<I: Iterator<Item = String>>(mut args: I) {
+    if args.any(|a| a == "--strategy" || a.starts_with("--strategy=")) {
+        panic!("`--strategy` was removed; `--jobs 1` runs a serial sweep");
+    }
+}
+
+/// A model-check [`CheckConfig`] honoring the `--jobs`, `--quotient`,
+/// `--visited-budget`, `--checkpoint-dir`, `--checkpoint-every`,
+/// `--resume`, and `--memory-limit` flags.
+///
+/// # Panics
+///
+/// Panics with a usage message on a malformed flag value, or when the
+/// removed `--strategy` flag is passed (rather than silently ignoring it).
 #[must_use]
 pub fn check_config_from_cli() -> CheckConfig {
+    reject_removed_strategy_flag(std::env::args().skip(1));
     let mut config = match cli_jobs() {
         Some(j) => CheckConfig::default().with_jobs(j),
         None => CheckConfig::default(),
     };
-    if let Some(kind) = cli_strategy() {
-        config = config.with_strategy(kind);
-    }
     if cli_flag("--quotient") {
         config = config.with_quotient();
     }
@@ -459,6 +457,21 @@ pub fn group_inputs(n: usize, g: usize, seed: u64) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "`--strategy` was removed")]
+    fn removed_strategy_flag_is_a_usage_error() {
+        reject_removed_strategy_flag(
+            ["--jobs", "2", "--strategy=serial"]
+                .map(String::from)
+                .into_iter(),
+        );
+    }
+
+    #[test]
+    fn sweeps_without_strategy_flag_pass() {
+        reject_removed_strategy_flag(["--jobs", "2", "--quotient"].map(String::from).into_iter());
+    }
 
     #[test]
     fn step_stats_aggregates() {

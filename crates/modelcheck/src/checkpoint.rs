@@ -19,22 +19,24 @@
 //! sweep size, and a fingerprint of the sweep configuration; resuming
 //! against a journal whose header does not match fails loudly rather than
 //! assembling a report from someone else's combos. Subsequent records log
-//! combo *claims* (exploration started), combo *completions* (the full
-//! [`ComboOutcome`], recorded only for runs whose stop probe never fired),
-//! and throttled per-combo *progress* markers for observability.
+//! combo *claims* (exploration started) and combo *completions* (the full
+//! [`ComboOutcome`], recorded only for runs whose stop probe never fired).
+//! Older journals may also hold per-combo progress frames (tag 4); nothing
+//! reads them, so recovery skips them.
 //!
 //! # Why combo granularity is enough
 //!
 //! Per-combo BFS is deterministic: the same wiring combo with the same
 //! caps always yields the same `ComboOutcome` (this is the property the
-//! strategy contract in [`crate::strategy`] already leans on). A resumed
-//! sweep therefore replays recorded outcomes verbatim and re-explores only
-//! combos that were claimed but never completed — and the assembled
-//! `TaskCheckReport` is byte-identical to an uninterrupted run no matter
-//! how many times the process was killed. Outcomes of aborted runs (stop
-//! probe fired: a lower violation cancelled the combo, a signal arrived,
-//! or the watchdog tripped) are never journaled, because replaying them
-//! would freeze a nondeterministic partial result into the report.
+//! sweep executor's prefix rule in [`crate::strategy`] already leans on).
+//! A resumed sweep therefore replays recorded outcomes verbatim and
+//! re-explores only combos that were claimed but never completed — and the
+//! assembled `TaskCheckReport` is byte-identical to an uninterrupted run no
+//! matter how many times the process was killed. Outcomes of aborted runs
+//! (stop probe fired: a lower violation cancelled the combo, a signal
+//! arrived, or the watchdog tripped) are never journaled, because
+//! replaying them would freeze a nondeterministic partial result into the
+//! report.
 //!
 //! # Durability
 //!
@@ -67,11 +69,6 @@ pub const DEFAULT_SYNC_EVERY_BYTES: u64 = 64 * 1024;
 /// Environment variable consulted by [`crash_point`]: `site@N` aborts the
 /// process on the `N`-th hit of `site` (`site` alone means `site@1`).
 pub const CRASH_ENV: &str = "FA_CRASH_AT";
-
-/// Minimum states a combo must advance before another progress record is
-/// journaled for it. Keeps long combos observable without bloating the
-/// journal on small ones.
-const PROGRESS_STRIDE_STATES: u64 = 65_536;
 
 /// How a sweep checkpoints itself. Carried on
 /// [`crate::CheckConfig::with_checkpoint`]; excluded from config equality.
@@ -172,23 +169,14 @@ pub enum JournalRecord {
         /// The deterministic outcome of the combo's exploration.
         outcome: ComboOutcome,
     },
-    /// Throttled partial-BFS marker for a long-running combo
-    /// (observability only — recovery re-explores in-flight combos from
-    /// scratch).
-    Progress {
-        /// Full combo index.
-        combo: u64,
-        /// States visited so far.
-        states: u64,
-        /// Current BFS depth.
-        depth: u64,
-    },
 }
 
 const TAG_HEADER: u8 = 1;
 const TAG_CLAIM: u8 = 2;
 const TAG_DONE: u8 = 3;
-const TAG_PROGRESS: u8 = 4;
+/// Progress marker (`[combo][states][depth]`) written by older versions;
+/// write-only, so a scan skips it.
+const TAG_LEGACY_PROGRESS: u8 = 4;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -315,16 +303,6 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             put_u64(&mut out, outcome.spilled_shards as u64);
             put_opt_str(&mut out, outcome.violation.as_deref());
         }
-        JournalRecord::Progress {
-            combo,
-            states,
-            depth,
-        } => {
-            out.push(TAG_PROGRESS);
-            put_u64(&mut out, *combo);
-            put_u64(&mut out, *states);
-            put_u64(&mut out, *depth);
-        }
     }
     out
 }
@@ -364,11 +342,6 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
                 },
             }
         }
-        TAG_PROGRESS => JournalRecord::Progress {
-            combo: c.take_u64()?,
-            states: c.take_u64()?,
-            depth: c.take_u64()?,
-        },
         other => return Err(format!("unknown record tag {other}")),
     };
     c.finish()?;
@@ -400,10 +373,11 @@ fn encode_frame(rec: &JournalRecord) -> Vec<u8> {
 }
 
 /// Scans journal bytes, returning every intact record in order plus the
-/// byte length of the valid prefix. Scanning stops — without error — at
-/// the first torn frame (length header past end of file), checksum
-/// mismatch, or undecodable payload: everything after that point was
-/// written during the crash and is discarded by recovery.
+/// byte length of the valid prefix. Intact legacy progress frames are
+/// skipped. Scanning stops — without error — at the first torn frame
+/// (length header past end of file), checksum mismatch, or undecodable
+/// payload: everything after that point was written during the crash and
+/// is discarded by recovery.
 fn scan_records(bytes: &[u8]) -> (Vec<JournalRecord>, u64) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -417,6 +391,10 @@ fn scan_records(bytes: &[u8]) -> (Vec<JournalRecord>, u64) {
         let payload = &bytes[start..end];
         if fnv1a(payload) != expect {
             break; // corrupt frame: checksum mismatch
+        }
+        if payload.first() == Some(&TAG_LEGACY_PROGRESS) {
+            pos = end;
+            continue;
         }
         let Ok(rec) = decode_record(payload) else {
             break; // checksummed but undecodable (e.g. version skew)
@@ -483,7 +461,6 @@ fn build_recovery(
                     .map_err(|_| JournalError::Corrupt("combo index overflow".into()))?;
                 completed.insert(combo, outcome);
             }
-            JournalRecord::Progress { .. } => {}
         }
     }
     let mut in_flight: Vec<usize> = claimed
@@ -838,52 +815,6 @@ impl Drop for MemoryWatchdog {
     }
 }
 
-/// Shared progress hook the explorer invokes at stop-poll boundaries with
-/// `(states, depth)`. Wrapped so `Explorer` keeps its `Debug` derive.
-#[derive(Clone)]
-pub struct ProgressHook(Arc<dyn Fn(u64, u64) + Send + Sync>);
-
-impl ProgressHook {
-    /// Wraps a callback.
-    pub fn new(hook: impl Fn(u64, u64) + Send + Sync + 'static) -> Self {
-        ProgressHook(Arc::new(hook))
-    }
-
-    /// Invokes the callback.
-    pub fn fire(&self, states: u64, depth: u64) {
-        (self.0)(states, depth);
-    }
-
-    /// A hook that journals throttled [`JournalRecord::Progress`] markers
-    /// for `combo`. Append errors are swallowed: progress records are
-    /// observability-only, and the loud failure path for a vanished
-    /// checkpoint directory is the claim/done appends.
-    #[must_use]
-    pub fn journaling(journal: Arc<std::sync::Mutex<SweepJournal>>, combo: u64) -> Self {
-        let last = AtomicU64::new(0);
-        ProgressHook::new(move |states, depth| {
-            let prev = last.load(Ordering::Relaxed);
-            if states >= prev + PROGRESS_STRIDE_STATES {
-                last.store(states, Ordering::Relaxed);
-                let _ = journal
-                    .lock()
-                    .expect("journal lock")
-                    .append(&JournalRecord::Progress {
-                        combo,
-                        states,
-                        depth,
-                    });
-            }
-        })
-    }
-}
-
-impl fmt::Debug for ProgressHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ProgressHook(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,13 +852,6 @@ mod tests {
         let mut records = vec![JournalRecord::Header(sample_header())];
         for i in 0..20usize {
             records.push(JournalRecord::ComboClaim { combo: i as u64 });
-            if i % 4 == 0 {
-                records.push(JournalRecord::Progress {
-                    combo: i as u64,
-                    states: 65_536,
-                    depth: 7,
-                });
-            }
             if i < 15 {
                 records.push(JournalRecord::ComboDone {
                     combo: i as u64,
@@ -1079,6 +1003,64 @@ mod tests {
         let (_again, recovery2) = SweepJournal::open_resume(&dir, 1024).expect("resume again");
         assert_eq!(recovery2.in_flight, vec![1]);
         assert_eq!(recovery2.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A progress frame as older versions wrote it:
+    /// `[4][combo u64][states u64][depth u64]` under the usual framing.
+    fn legacy_progress_frame(combo: u64, states: u64, depth: u64) -> Vec<u8> {
+        let mut payload = vec![TAG_LEGACY_PROGRESS];
+        for v in [combo, states, depth] {
+            put_u64(&mut payload, v);
+        }
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn checkpoint_resume_skips_legacy_progress_frames() {
+        let dir = temp_dir("legacy");
+        let path = SweepJournal::journal_path(&dir);
+        let write_journal = |progress: &[u8]| {
+            let mut bytes = encode_frame(&JournalRecord::Header(sample_header()));
+            for i in 0..4u64 {
+                bytes.extend_from_slice(&encode_frame(&JournalRecord::ComboClaim { combo: i }));
+                if i == 1 {
+                    bytes.extend_from_slice(progress);
+                }
+                bytes.extend_from_slice(&encode_frame(&JournalRecord::ComboDone {
+                    combo: i,
+                    outcome: sample_outcome(i as usize),
+                }));
+            }
+            fs::write(&path, &bytes).expect("write journal");
+            bytes.len() as u64
+        };
+
+        // An intact progress frame is skipped: nothing after it is lost.
+        let progress = legacy_progress_frame(1, 65_536, 7);
+        write_journal(&progress);
+        let (_journal, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
+        assert_eq!(recovery.truncated_bytes, 0);
+        assert_eq!(recovery.completed.len(), 4);
+        for i in 0..4usize {
+            assert_eq!(recovery.completed[&i], sample_outcome(i));
+        }
+        assert!(recovery.in_flight.is_empty());
+
+        // A progress frame with a bad checksum still ends the valid prefix.
+        let mut corrupt = progress.clone();
+        *corrupt.last_mut().unwrap() ^= 0x5a;
+        let len = write_journal(&corrupt);
+        let (_journal, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
+        assert_eq!(recovery.completed.len(), 1);
+        assert_eq!(recovery.in_flight, vec![1]);
+        let kept = fs::metadata(&path).expect("meta").len();
+        assert_eq!(recovery.truncated_bytes, len - kept);
+        assert!(recovery.truncated_bytes > corrupt.len() as u64);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -33,11 +33,10 @@ use fa_tasks::{check_group_solution, AdaptiveRenaming, GroupAssignment, GroupId,
 use crate::arena::StateView;
 use crate::canon;
 use crate::checkpoint::{
-    self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, ProgressHook,
-    SweepJournal,
+    self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, SweepJournal,
 };
 use crate::explorer::Explorer;
-use crate::strategy::{ComboOutcome, StrategyKind};
+use crate::strategy::{ComboOutcome, WorkerPool};
 use crate::telemetry::SweepTelemetry;
 use crate::wirings::ComboTable;
 
@@ -56,10 +55,6 @@ pub struct CheckConfig {
     /// Worker threads for the combo sweep. `None` (the default) uses the
     /// machine's available parallelism; `Some(1)` forces a serial sweep.
     pub jobs: Option<usize>,
-    /// Which [`crate::strategy::ExploreStrategy`] executes the sweep. The
-    /// default ([`StrategyKind::Auto`]) picks serial for one job and the
-    /// worker pool otherwise; the strategy never changes the report.
-    pub strategy: StrategyKind,
     /// Live-telemetry registry the sweep records `mc.*` metrics into.
     /// `None` (the default) keeps every telemetry hook compiled to a no-op
     /// branch; `Some` never changes the deterministic report.
@@ -99,9 +94,7 @@ pub struct CheckConfig {
 
 impl PartialEq for CheckConfig {
     fn eq(&self, other: &Self) -> bool {
-        self.jobs == other.jobs
-            && self.strategy == other.strategy
-            && self.quotient == other.quotient
+        self.jobs == other.jobs && self.quotient == other.quotient
     }
 }
 
@@ -113,7 +106,6 @@ impl CheckConfig {
     pub fn serial() -> Self {
         CheckConfig {
             jobs: Some(1),
-            strategy: StrategyKind::Auto,
             telemetry: None,
             quotient: false,
             visited_budget: None,
@@ -127,13 +119,6 @@ impl CheckConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = Some(jobs.max(1));
-        self
-    }
-
-    /// Selects the sweep execution strategy (see [`CheckConfig::strategy`]).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: StrategyKind) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -265,9 +250,8 @@ pub struct CheckOutcome {
     pub telemetry: SweepEvent,
 }
 
-/// Fans the per-combo explorations of one harness across the configured
-/// [`crate::strategy::ExploreStrategy`] and assembles the deterministic
-/// report (module docs).
+/// Fans the per-combo explorations of one harness across the
+/// [`WorkerPool`] and assembles the deterministic report (module docs).
 ///
 /// `scope` fingerprints the harness inputs the combo table does not capture
 /// (input values, state caps, depth caps — see [`checkpoint::scope_of`]);
@@ -295,7 +279,6 @@ where
 {
     let table = ComboTable::new(n, n);
     let total = table.len();
-    let jobs = config.worker_count().min(total.max(1));
     let start = Instant::now();
 
     // Combo-level quotient: two wiring combinations related by a
@@ -326,6 +309,9 @@ where
         }
         None => ((0..total).collect::<Vec<_>>(), (0..total).collect()),
     };
+    // The pool spawns at most one worker per explored combo (one per class
+    // representative under the quotient), so that is the true worker count.
+    let jobs = config.worker_count().min(explore.len().max(1));
 
     // Live telemetry (optional): phase spans and progress counters, shared
     // by every worker. The deterministic report below never reads them.
@@ -409,7 +395,7 @@ where
 
     // First journal append failure, if any: it aborts the sweep (durability
     // is gone, so keeping going would checkpoint nothing) and surfaces as a
-    // loud `Err` after the strategy winds down.
+    // loud `Err` after the pool winds down.
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
     let journal_append = |record: &JournalRecord| {
         let Some(journal) = &journal else { return };
@@ -433,8 +419,8 @@ where
         }
     };
 
-    // One combo exploration, handed to the strategy: deterministic per index
-    // (modulo the strategy-controlled `stop` probe), telemetry included.
+    // One combo exploration, handed to the pool: deterministic per index
+    // (modulo the pool-controlled `stop` probe), telemetry included.
     let run_combo = |i: usize, stop: &(dyn Fn() -> bool + Sync)| -> ComboOutcome {
         if let Some(done) = recovered.get(&i) {
             // Recorded by a prior run of this exact sweep: replay verbatim.
@@ -464,10 +450,6 @@ where
         }
         if let Some(flag) = &pressure {
             explorer = explorer.with_memory_pressure(Arc::clone(flag));
-        }
-        if let Some(journal) = &journal {
-            explorer = explorer
-                .with_progress_hook(ProgressHook::journaling(Arc::clone(journal), i as u64));
         }
         // Whether this exploration was ever told to stop: cut-short outcomes
         // depend on scheduling, so they must never be journaled as done.
@@ -510,10 +492,7 @@ where
         outcome
     };
 
-    let slots = config
-        .strategy
-        .build(jobs)
-        .run(explore.len(), &|k, stop| run_combo(explore[k], stop));
+    let slots = WorkerPool { jobs }.run(explore.len(), &|k, stop| run_combo(explore[k], stop));
 
     // Final checkpoint: everything journaled so far is durable before the
     // report is assembled (signal-driven aborts land here too, so a graceful
@@ -537,8 +516,9 @@ where
     };
 
     // Assemble from combos 0..=best only (best = lowest violating index):
-    // those are exactly the combos a serial sweep explores, and the strategy
-    // contract guarantees each was fully explored, never skipped or aborted.
+    // those are exactly the combos a serial sweep explores, and the pool's
+    // prefix contract guarantees each was fully explored, never skipped or
+    // aborted.
     // Representatives of combos below `best` sit below `best`'s own slot in
     // the compacted list (reps[i] <= i and positions are ascending), so the
     // prefix contract carries over to the quotiented sweep.
@@ -1422,26 +1402,35 @@ mod tests {
     }
 
     #[test]
-    fn forced_strategies_reproduce_the_auto_report() {
-        use crate::strategy::StrategyKind;
+    fn every_job_count_reproduces_the_serial_report() {
         let reference = check_snapshot_task_with(&[1, 2], 500_000, &CheckConfig::serial())
             .unwrap()
             .report;
-        for (strategy, jobs) in [
-            (StrategyKind::Serial, 4),
-            (StrategyKind::WorkerPool, 1),
-            (StrategyKind::WorkerPool, 4),
-            (StrategyKind::Auto, 2),
-        ] {
-            let config = CheckConfig::default()
-                .with_jobs(jobs)
-                .with_strategy(strategy);
+        for jobs in [1, 2, 4] {
+            let config = CheckConfig::default().with_jobs(jobs);
             let outcome = check_snapshot_task_with(&[1, 2], 500_000, &config).unwrap();
             assert_eq!(
-                outcome.report, reference,
-                "strategy={strategy:?} jobs={jobs} must reproduce the serial report"
+                format!("{:?}", outcome.report),
+                format!("{reference:?}"),
+                "jobs={jobs} must reproduce the serial report"
             );
         }
+    }
+
+    #[test]
+    fn quotiented_sweep_reports_the_workers_it_spawns() {
+        // The pool spawns at most one worker per explored class
+        // representative, not one per combo of the full sweep.
+        let registry = Arc::new(MetricRegistry::new());
+        let config = CheckConfig::default()
+            .with_jobs(64)
+            .with_quotient()
+            .with_telemetry(Arc::clone(&registry));
+        let outcome = check_snapshot_task_coarse_with(&[7, 7, 7], 3_000, &config).unwrap();
+        let explored = outcome.report.quotient.as_ref().unwrap().combos_explored;
+        assert!(explored < outcome.report.total_combos);
+        assert_eq!(outcome.telemetry.jobs, explored);
+        assert_eq!(registry.gauge("mc.jobs").get(), explored as u64);
     }
 
     #[test]

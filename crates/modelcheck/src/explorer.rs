@@ -20,7 +20,7 @@ use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 
 use crate::arena::{ArenaTables, SlotInterner, StateView, HALTED};
 use crate::canon::{compose, invert, Canonicalizer};
-use crate::checkpoint::{crash_point, ProgressHook};
+use crate::checkpoint::crash_point;
 use crate::store::{InMemoryVisited, TieredVisited, VisitedStore};
 use crate::telemetry::ExplorerTelemetry;
 
@@ -330,7 +330,6 @@ where
     corrupt_spill: bool,
     spill_dir: Option<std::path::PathBuf>,
     pressure: Option<Arc<std::sync::atomic::AtomicBool>>,
-    progress: Option<ProgressHook>,
 }
 
 /// How many state expansions pass between polls of the external stop signal
@@ -387,7 +386,6 @@ where
             corrupt_spill: false,
             spill_dir: None,
             pressure: None,
-            progress: None,
         }
     }
 
@@ -491,16 +489,6 @@ where
     #[must_use]
     pub fn with_memory_pressure(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.pressure = Some(flag);
-        self
-    }
-
-    /// Attaches a progress hook fired with `(states, depth)` on every
-    /// stop-poll boundary — the checkpoint journal uses it to record
-    /// throttled partial-BFS markers. Purely observational: attaching a
-    /// hook never changes the [`ExploreReport`].
-    #[must_use]
-    pub fn with_progress_hook(mut self, hook: ProgressHook) -> Self {
-        self.progress = Some(hook);
         self
     }
 
@@ -688,8 +676,8 @@ where
             }
         };
         // The stop-poll boundary, every STOP_POLL_INTERVAL units of work:
-        // publish gauges, fire the progress hook, pass the crash-injection
-        // site, then ask whether to stop.
+        // publish gauges, pass the crash-injection site, then ask whether
+        // to stop.
         let poll_stop = |flushed: &mut usize, store: &V, interner_entries: usize, depth: usize| {
             flush_telemetry(
                 flushed,
@@ -699,9 +687,6 @@ where
                 store.approx_bytes(),
                 store.spilled_shards(),
             );
-            if let Some(hook) = &self.progress {
-                hook.fire(store.len() as u64, depth as u64);
-            }
             crash_point("explorer.poll");
             stop()
         };
@@ -1613,7 +1598,8 @@ mod tests {
     #[test]
     fn capped_drain_still_polls_stop_and_progress() {
         use fa_core::SnapshotProcess;
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use fa_obs::MetricRegistry;
+        use std::cell::Cell;
 
         let mk = || {
             let procs: Vec<SnapshotProcess<u8>> = [1, 2, 3]
@@ -1635,22 +1621,26 @@ mod tests {
         // Far below the reachable space, with a wide BFS frontier queued.
         let cap = 20_000;
         // Polls that see a full store can only come from the drain (or the
-        // one poll that may land exactly as the store fills).
+        // one poll that may land exactly as the store fills). Each poll
+        // flushes `mc.states_total` just before asking `stop`, so the
+        // counter tells the closure how full the store is.
         let run_capped = |stop_after: usize| {
-            let polls_at_cap = Arc::new(AtomicUsize::new(0));
-            let seen = Arc::clone(&polls_at_cap);
+            let registry = MetricRegistry::new();
+            let states = registry.counter("mc.states_total");
+            let polls_at_cap = Cell::new(0usize);
             let report = mk()
                 .with_max_states(cap)
-                .with_progress_hook(ProgressHook::new(move |states, _| {
-                    if states == cap as u64 {
-                        seen.fetch_add(1, Ordering::Relaxed);
-                    }
-                }))
+                .with_telemetry(ExplorerTelemetry::from_registry(&registry))
                 .run_until(
                     |_| Ok(()),
-                    || polls_at_cap.load(Ordering::Relaxed) >= stop_after,
+                    || {
+                        if states.get() == cap as u64 {
+                            polls_at_cap.set(polls_at_cap.get() + 1);
+                        }
+                        polls_at_cap.get() >= stop_after
+                    },
                 );
-            (report, polls_at_cap.load(Ordering::Relaxed))
+            (report, polls_at_cap.get())
         };
         let (drained, polls) = run_capped(usize::MAX);
         assert!(polls >= 2, "the drain polled only {polls} times at the cap");

@@ -13,8 +13,9 @@
 //!   checking on every reachable state and counterexample schedules. The
 //!   hot path runs over the flat id arena of [`arena`]; invariants observe
 //!   states through the borrow-only [`StateView`].
-//! * [`strategy`] — factory-selectable sweep executors
-//!   (serial / worker pool) behind one [`ExploreStrategy`] contract.
+//! * [`strategy`] — the sweep executor: a worker pool over wiring combos
+//!   whose report always covers exactly the serial prefix up to the lowest
+//!   violating combo, for any worker count.
 //! * [`canon`] — symmetry-quotient canonicalization: orbit-representative
 //!   arena rows under the system's processor/register automorphism group,
 //!   with exact orbit sizes for full-space accounting.
@@ -66,10 +67,12 @@ pub use arena::{ArenaState, ArenaTables, IdSpaceExhausted, StateView};
 pub use canon::Canonicalizer;
 pub use checkpoint::{
     crash_point, inspect_journal, scope_of, sweep_fingerprint, CheckpointConfig, JournalError,
-    JournalHeader, JournalRecord, MemoryWatchdog, ProgressHook, Recovery, SweepJournal,
+    JournalHeader, JournalRecord, MemoryWatchdog, Recovery, SweepJournal,
 };
 pub use checks::{CheckConfig, CheckOutcome, QuotientStats, TaskCheckReport};
 pub use explorer::{step_block, ExploreReport, Explorer, McState, Violation};
 pub use store::{InMemoryVisited, StoreError, TieredVisited, VisitedStore};
-pub use strategy::{ComboOutcome, ExploreStrategy, StrategyKind};
+pub use strategy::ComboOutcome;
+#[doc(hidden)]
+pub use strategy::StrategyKind;
 pub use telemetry::{ExplorerTelemetry, SweepTelemetry};

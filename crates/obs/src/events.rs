@@ -245,8 +245,6 @@ pub enum CheckpointAction {
     Claimed,
     /// A combo's deterministic outcome was durably recorded.
     Completed,
-    /// A long combo published a mid-flight progress record.
-    Progress,
     /// The journal was fsynced (epoch boundary or final checkpoint).
     Synced,
     /// A prior run's journal was scanned and its outcomes recovered.
